@@ -2,9 +2,10 @@
 //
 // The paper's target applications write timestep output continuously
 // and checkpoint periodically (Figure 2). This bench measures, on the
-// simulated SP2, (a) the steady-state cost of a timestep stream — the
-// appends stay sequential on every i/o node, so per-timestep cost is
-// flat — and (b) the i/o overhead of checkpointing every k timesteps,
+// simulated SP2, (a) the steady-state cost of a timestep stream — each
+// timestep is its own segment file, written sequentially after one seek
+// to open it, so per-timestep cost is flat — and (b) the i/o overhead
+// of checkpointing every k timesteps,
 // the knob an application tunes against its failure rate.
 #include <cstdio>
 
@@ -72,8 +73,8 @@ int main(int argc, char** argv) {
     std::printf("# Timestep stream: %d timesteps of a %lld MB array,\n",
                 timesteps, static_cast<long long>(mb));
     std::printf("# 8 compute nodes, 2 i/o nodes, natural chunking.\n");
-    std::printf("# Appends stay sequential: seeks stay (checkpoints + 1) "
-                "per node.\n\n");
+    std::printf("# Each segment is written sequentially: seeks stay "
+                "(timesteps + checkpoints) per node.\n\n");
     std::printf("%-18s %-12s %-16s %-12s %-14s\n", "checkpoint_every",
                 "total_s", "per_timestep_s", "seeks", "io_overhead");
 

@@ -14,18 +14,18 @@
 //
 //   ./examples/failover_demo [--dir=PATH] [--backend=posix|objectstore]
 //   ./examples/panda_fsck --root=PATH --io_nodes=3 --schema=demo.schema
-//       --subchunk_bytes=8192 --verify_checksums --verify_journal
+//       --subchunk_bytes=8192 --verify --verify_journal
 //
 // fsck reads the `__panda.dead_servers` attribute from demo.schema,
 // skips the dead node's stale files as lost, and verifies the
-// survivors' files — adopted chunks included — against their CRC32C
-// sidecars and write-ahead journals.
+// survivors' files — adopted chunks included — against the CRC32C
+// records in their shard tables and their write-ahead journals.
 //
 // --backend=objectstore reruns the same fault script against simulated
 // i/o nodes fronting an object store (src/iosim/object_store.h): data
 // moves through the sharded chunk store (src/store/) as whole-object
 // PUT/GET shards, sized by AdviseShardSize, and the degraded group is
-// audited in-process with VerifyGroupShards instead of offline fsck.
+// audited in-process with VerifyGroupSegments instead of offline fsck.
 #include <cstdio>
 #include <cstring>
 
@@ -129,7 +129,7 @@ int Run(int argc, char** argv) {
 
   ServerOptions options;
   options.failover = true;        // degraded-mode re-planning armed
-  options.disk_checksums = true;  // CRC32C sidecars (F.crc)
+  options.disk_checksums = true;  // CRC32C in every shard-table record
   options.journal = true;         // write-ahead chunk journal (F.wal)
   options.robustness = &machine.robustness();
   if (object_store) {
@@ -229,8 +229,8 @@ int Run(int argc, char** argv) {
     std::vector<FileSystem*> fs_ptrs;
     for (int s = 0; s < kServers; ++s) fs_ptrs.push_back(&machine.server_fs(s));
     std::string log;
-    const ShardReport shard_report =
-        VerifyGroupShards(fs_ptrs, meta, params.subchunk_bytes, &log);
+    const SegmentReport shard_report = VerifyGroupSegments(
+        fs_ptrs, meta, params.subchunk_bytes, /*read_data=*/true, &log);
     if (!log.empty()) std::printf("%s", log.c_str());
     std::printf(
         "  shard audit (object store, %s shards): %lld shard files, %lld "
@@ -244,7 +244,7 @@ int Run(int argc, char** argv) {
     std::printf(
         "audit the degraded directory offline with:\n"
         "  ./examples/panda_fsck --root=%s --io_nodes=%d --schema=demo.schema "
-        "--subchunk_bytes=%lld --verify_checksums --verify_journal\n",
+        "--subchunk_bytes=%lld --verify --verify_journal\n",
         dir.c_str(), kServers,
         static_cast<long long>(params.subchunk_bytes));
   }

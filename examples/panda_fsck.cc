@@ -1,40 +1,28 @@
 // panda_fsck: consistency checker for Panda data directories.
 //
-// Given the i/o-node directories and a group's schema file, verifies
-// that every per-server data file exists with exactly the size the
-// schemas dictate (timestep streams: timesteps x segment; checkpoints:
-// one segment) — the check an operator runs before trusting a restart.
+// Given the i/o-node directories and a group's schema file, walks every
+// segment the schemas dictate (timestep streams: one segment per
+// timestep; checkpoints: one segment) through the one on-disk layout
+// (src/panda/store_io.h): every expected shard file exists with room for
+// its data region — and for its table, when it has one — and every
+// table record agrees with the plan. This is the check an operator runs
+// before trusting a restart.
 //
-// With --verify_checksums, additionally re-reads every sub-chunk of
-// every file and verifies it against its CRC32C sidecar (`F.crc`, see
-// src/panda/integrity.h). Files without a sidecar (written with
-// disk_checksums off, or by sequential tools) are reported as
-// unverified, not failed.
+// With --verify, additionally re-reads every sub-chunk: it must decode
+// to its plan size (a torn table record falls back to the slot's
+// self-describing frame header and counts as healed, not fatal) and
+// match the CRC32C its table record carries. Segments written with
+// disk_checksums off carry no CRCs and are reported unverified, not
+// failed.
 //
-// With --verify_journal, additionally replays every write-ahead
-// journal record (`F.wal`, see src/panda/journal.h) against the plan
-// and the data file: framing, commit completeness (modulo one torn
-// trailing record — the legitimate signature of a crash mid-append),
-// and data CRCs.
+// With --verify_journal, additionally replays every write-ahead journal
+// record (`F.wal`, see src/panda/journal.h) against the plan and the
+// segment data: framing, commit completeness (modulo one torn trailing
+// record — the legitimate signature of a crash mid-append), and data
+// CRCs.
 //
-// With --verify_frames, additionally audits codec-encoded arrays: every
-// frame-directory record (`F.fdx`, see src/codec/frame.h) is
-// cross-checked against the plan and every sub-chunk slot is proven to
-// decode back to its plan size (torn directory records fall back to the
-// slot's self-describing header). Arrays written with codec=none store
-// raw bytes and are skipped.
-//
-// With --verify_shards, additionally audits sharded layouts: every
-// shard's self-describing table (`F.shard.N`, see src/store/) is
-// cross-checked against the plan, every sub-chunk is proven to decode
-// (torn tables fall back to the slots' frame headers and are counted as
-// healed, not fatal), and decoded bytes are compared against the CRC
-// sidecar when one exists.
-//
-// Groups written through the sharded store carry a
-// `__panda.shard_bytes` attribute; fsck then expects `F.shard.N` files
-// (each at least its data region plus table) instead of flat files,
-// and the basic sweep sizes each shard from the recorded granularity.
+// Groups written with a bounded shard size carry a `__panda.shard_bytes`
+// attribute; fsck derives the identical shard map from it.
 //
 // Groups written in degraded mode (after a server crash-stop) carry a
 // `__panda.dead_servers` attribute; fsck honours it everywhere: dead
@@ -43,8 +31,7 @@
 // segment.
 //
 //   ./examples/panda_fsck --root=DIR --io_nodes=N --schema=FILE
-//       [--verify_checksums] [--verify_journal] [--verify_frames]
-//       [--verify_shards]
+//       [--verify] [--verify_journal]
 #include <cstdio>
 
 #include "panda/panda.h"
@@ -52,83 +39,6 @@
 #include "util/units.h"
 
 using namespace panda;
-
-namespace {
-
-struct CheckResult {
-  int checked = 0;
-  int missing = 0;
-  int wrong_size = 0;
-};
-
-void CheckFile(FileSystem& fs, const std::string& path,
-               std::int64_t expected_bytes, bool framed, CheckResult& result) {
-  ++result.checked;
-  if (!fs.Exists(path)) {
-    std::printf("  MISSING   %-40s (expected %s)\n", path.c_str(),
-                FormatBytes(expected_bytes).c_str());
-    ++result.missing;
-    return;
-  }
-  const std::int64_t size = fs.Open(path, OpenMode::kRead)->Size();
-  // Codec-encoded arrays legitimately end short: the file's final
-  // sub-chunk may be stored as a frame smaller than its plan slot.
-  // --verify_frames proves every slot decodes to its full plan size.
-  const bool ok = framed ? (size > 0 && size <= expected_bytes)
-                         : size == expected_bytes;
-  if (!ok) {
-    std::printf("  BAD SIZE  %-40s (%s, expected %s%s)\n", path.c_str(),
-                FormatBytes(size).c_str(),
-                framed ? "at most " : "",
-                FormatBytes(expected_bytes).c_str());
-    ++result.wrong_size;
-    return;
-  }
-  std::printf("  ok        %-40s %s%s\n", path.c_str(),
-              FormatBytes(size).c_str(), framed ? " (framed)" : "");
-}
-
-// Sharded layouts: one size check per shard file. A shard holds its
-// data region plus a table of its records; codec-encoded slots may
-// store fewer bytes than their plan extent, so the floor is what a
-// fully raw shard needs and --verify_shards proves the contents.
-void CheckShards(FileSystem& fs, const std::string& data_name,
-                 const IoPlan& plan, const DegradedLayout& layout, int server,
-                 std::int64_t num_segments, std::int64_t shard_bytes,
-                 CheckResult& result) {
-  const store::ShardLayout shards =
-      BuildShardLayout(plan, layout, server, shard_bytes);
-  for (std::int64_t seg = 0; seg < num_segments; ++seg) {
-    for (std::int64_t local = 0; local < shards.shards_per_segment();
-         ++local) {
-      const store::ShardSpec& spec = shards.shard(local);
-      const std::string path = store::ShardFileName(
-          data_name, seg * shards.shards_per_segment() + local);
-      const std::int64_t floor_bytes =
-          store::ShardFileBytes(spec.data_bytes, spec.num_records);
-      ++result.checked;
-      if (!fs.Exists(path)) {
-        std::printf("  MISSING   %-40s (expected >= %s)\n", path.c_str(),
-                    FormatBytes(floor_bytes).c_str());
-        ++result.missing;
-        continue;
-      }
-      const std::int64_t size = fs.Open(path, OpenMode::kRead)->Size();
-      if (size < floor_bytes) {
-        std::printf("  BAD SIZE  %-40s (%s, expected at least %s)\n",
-                    path.c_str(), FormatBytes(size).c_str(),
-                    FormatBytes(floor_bytes).c_str());
-        ++result.wrong_size;
-        continue;
-      }
-      std::printf("  ok        %-40s %s (%lld records)\n", path.c_str(),
-                  FormatBytes(size).c_str(),
-                  static_cast<long long>(spec.num_records));
-    }
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -139,16 +49,16 @@ int main(int argc, char** argv) {
         opts.GetString("schema", "simulation2.schema");
     const std::int64_t subchunk =
         opts.GetInt("subchunk_bytes", Sp2Params::Nas().subchunk_bytes);
-    const bool verify_checksums = opts.GetBool("verify_checksums", false);
+    const bool verify = opts.GetBool("verify", false);
     const bool verify_journal = opts.GetBool("verify_journal", false);
-    const bool verify_frames = opts.GetBool("verify_frames", false);
-    const bool verify_shards = opts.GetBool("verify_shards", false);
     opts.CheckAllConsumed();
 
     std::vector<std::unique_ptr<PosixFileSystem>> fs;
+    std::vector<FileSystem*> fs_ptrs;
     for (int s = 0; s < io_nodes; ++s) {
       fs.push_back(std::make_unique<PosixFileSystem>(
           root + "/ionode" + std::to_string(s)));
+      fs_ptrs.push_back(fs.back().get());
     }
 
     const GroupMeta meta = ReadGroupMeta(*fs[0], schema_file);
@@ -159,10 +69,8 @@ int main(int argc, char** argv) {
 
     const std::int64_t shard_bytes = ParseShardBytesAttr(meta.attributes);
     if (shard_bytes > 0) {
-      std::printf(
-          "group written through the sharded store (%s per shard); "
-          "expecting F.shard.N files instead of flat segments\n",
-          FormatBytes(shard_bytes).c_str());
+      std::printf("group written with %s shards\n",
+                  FormatBytes(shard_bytes).c_str());
     }
     const std::vector<int> dead = ParseDeadServersAttr(meta.attributes);
     if (!dead.empty()) {
@@ -177,68 +85,34 @@ int main(int argc, char** argv) {
           who.c_str());
     }
 
-    CheckResult result;
-    for (const ArrayMeta& array : meta.arrays) {
-      const IoPlan plan(array, io_nodes, subchunk);
-      const DegradedLayout layout = DegradedLayout::Compute(plan, dead);
-      for (int s = 0; s < io_nodes; ++s) {
-        if (!layout.alive[static_cast<size_t>(s)]) continue;  // lost disk
-        const std::int64_t segment = layout.SegmentBytes(s);
-        if (segment == 0) continue;  // server stores none of this array
-        const bool framed = array.codec != CodecId::kNone;
-        if (meta.timesteps > 0) {
-          const std::string name =
-              DataFileName(meta.group, array.name, Purpose::kTimestep, s);
-          if (shard_bytes > 0) {
-            CheckShards(*fs[static_cast<size_t>(s)], name, plan, layout, s,
-                        meta.timesteps, shard_bytes, result);
-          } else {
-            CheckFile(*fs[static_cast<size_t>(s)], name,
-                      meta.timesteps * segment, framed, result);
-          }
-        }
-        if (meta.has_checkpoint) {
-          const std::string name =
-              DataFileName(meta.group, array.name, Purpose::kCheckpoint, s);
-          if (shard_bytes > 0) {
-            CheckShards(*fs[static_cast<size_t>(s)], name, plan, layout, s,
-                        /*num_segments=*/1, shard_bytes, result);
-          } else {
-            CheckFile(*fs[static_cast<size_t>(s)], name, segment, framed,
-                      result);
-          }
-        }
-      }
-    }
-    std::printf("%d files checked: %d missing, %d with wrong sizes\n",
-                result.checked, result.missing, result.wrong_size);
-
-    bool checksums_clean = true;
-    if (verify_checksums) {
-      std::vector<FileSystem*> fs_ptrs;
-      for (const auto& f : fs) fs_ptrs.push_back(f.get());
-      std::string log;
-      const IntegrityReport report =
-          VerifyGroupChecksums(fs_ptrs, meta, subchunk, &log);
-      if (!log.empty()) std::printf("%s", log.c_str());
+    std::string log;
+    const SegmentReport report =
+        VerifyGroupSegments(fs_ptrs, meta, subchunk, verify, &log);
+    if (!log.empty()) std::printf("%s", log.c_str());
+    std::printf(
+        "segments: %lld shard files checked (%lld missing, %lld with bad "
+        "sizes), %lld torn footers, %lld invalid table records\n",
+        static_cast<long long>(report.files_checked),
+        static_cast<long long>(report.files_missing),
+        static_cast<long long>(report.size_mismatches),
+        static_cast<long long>(report.tables_torn),
+        static_cast<long long>(report.entries_invalid));
+    if (verify) {
       std::printf(
-          "checksums: %lld files verified (%lld without sidecar), %lld "
-          "sub-chunks checked, %lld crc mismatches, %lld framing "
+          "sub-chunks: %lld checked, %lld verified against their CRC, %lld "
+          "healed by frame probe, %lld decode failures, %lld crc "
           "mismatches\n",
-          static_cast<long long>(report.files_checked),
-          static_cast<long long>(report.files_without_sidecar),
           static_cast<long long>(report.subchunks_checked),
-          static_cast<long long>(report.crc_mismatches),
-          static_cast<long long>(report.framing_mismatches));
-      checksums_clean = report.Clean();
+          static_cast<long long>(report.subchunks_verified),
+          static_cast<long long>(report.healed_slots),
+          static_cast<long long>(report.decode_failures),
+          static_cast<long long>(report.checksum_mismatches));
     }
 
     bool journal_clean = true;
     if (verify_journal) {
-      std::vector<FileSystem*> fs_ptrs;
-      for (const auto& f : fs) fs_ptrs.push_back(f.get());
-      std::string log;
-      const JournalReport report =
+      log.clear();
+      const JournalReport journal =
           VerifyGroupJournal(fs_ptrs, meta, subchunk, &log);
       if (!log.empty()) std::printf("%s", log.c_str());
       std::printf(
@@ -246,69 +120,19 @@ int main(int argc, char** argv) {
           "records checked, %lld missing, %lld torn, %lld framing "
           "mismatches, %lld data mismatches, %lld gc'd, %lld epoch "
           "mismatches\n",
-          static_cast<long long>(report.files_checked),
-          static_cast<long long>(report.files_without_journal),
-          static_cast<long long>(report.records_checked),
-          static_cast<long long>(report.records_missing),
-          static_cast<long long>(report.torn_records),
-          static_cast<long long>(report.framing_mismatches),
-          static_cast<long long>(report.data_mismatches),
-          static_cast<long long>(report.records_gced),
-          static_cast<long long>(report.epoch_mismatches));
-      journal_clean = report.Clean();
+          static_cast<long long>(journal.files_checked),
+          static_cast<long long>(journal.files_without_journal),
+          static_cast<long long>(journal.records_checked),
+          static_cast<long long>(journal.records_missing),
+          static_cast<long long>(journal.torn_records),
+          static_cast<long long>(journal.framing_mismatches),
+          static_cast<long long>(journal.data_mismatches),
+          static_cast<long long>(journal.records_gced),
+          static_cast<long long>(journal.epoch_mismatches));
+      journal_clean = journal.Clean();
     }
 
-    bool frames_clean = true;
-    if (verify_frames) {
-      std::vector<FileSystem*> fs_ptrs;
-      for (const auto& f : fs) fs_ptrs.push_back(f.get());
-      std::string log;
-      const FrameReport report =
-          VerifyGroupFrames(fs_ptrs, meta, subchunk, &log);
-      if (!log.empty()) std::printf("%s", log.c_str());
-      std::printf(
-          "frames: %lld files verified (%lld without directory), %lld "
-          "sub-chunks checked (%lld encoded), %lld torn directory records, "
-          "%lld framing mismatches, %lld decode failures\n",
-          static_cast<long long>(report.files_checked),
-          static_cast<long long>(report.files_without_directory),
-          static_cast<long long>(report.subchunks_checked),
-          static_cast<long long>(report.frames_encoded),
-          static_cast<long long>(report.torn_records),
-          static_cast<long long>(report.framing_mismatches),
-          static_cast<long long>(report.decode_failures));
-      frames_clean = report.Clean();
-    }
-
-    bool shards_clean = true;
-    if (verify_shards) {
-      std::vector<FileSystem*> fs_ptrs;
-      for (const auto& f : fs) fs_ptrs.push_back(f.get());
-      std::string log;
-      const ShardReport report = VerifyGroupShards(fs_ptrs, meta, subchunk,
-                                                   &log);
-      if (!log.empty()) std::printf("%s", log.c_str());
-      std::printf(
-          "shards: %lld files checked (%lld missing, %lld short), %lld torn "
-          "tables, %lld invalid entries, %lld sub-chunks checked (%lld "
-          "healed), %lld decode failures, %lld crc mismatches, %lld framing "
-          "mismatches\n",
-          static_cast<long long>(report.files_checked),
-          static_cast<long long>(report.files_missing),
-          static_cast<long long>(report.size_mismatches),
-          static_cast<long long>(report.tables_torn),
-          static_cast<long long>(report.entries_invalid),
-          static_cast<long long>(report.subchunks_checked),
-          static_cast<long long>(report.healed_slots),
-          static_cast<long long>(report.decode_failures),
-          static_cast<long long>(report.crc_mismatches),
-          static_cast<long long>(report.framing_mismatches));
-      shards_clean = report.Clean();
-    }
-    return (result.missing + result.wrong_size) == 0 && checksums_clean &&
-                   journal_clean && frames_clean && shards_clean
-               ? 0
-               : 1;
+    return report.Clean() && journal_clean ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "panda_fsck: %s\n", e.what());
     return 2;

@@ -75,7 +75,8 @@ namespace { int Run(int argc, char** argv) {
   std::vector<std::byte> image;
   for (int s = 0; s < 4; ++s) {
     auto file = machine.server_fs(s).Open(
-        "field_rowmajor.dat." + std::to_string(s), OpenMode::kRead);
+        store::ShardFileName("field_rowmajor.dat." + std::to_string(s), 0),
+        OpenMode::kRead);
     const std::int64_t size = file->Size();
     std::vector<std::byte> part(static_cast<size_t>(size));
     file->ReadAt(0, {part.data(), part.size()}, size);
@@ -90,8 +91,8 @@ namespace { int Run(int argc, char** argv) {
   }
   std::printf("migration: natural-chunked -> traditional order across 4 i/o "
               "nodes\n");
-  std::printf("  concatenation of %s/ionode{0..3}/field_rowmajor.dat.* is "
-              "row-major: %s\n",
+  std::printf("  concatenation of %s/ionode{0..3}/field_rowmajor.dat.*.shard.0 "
+              "is row-major: %s\n",
               dir.c_str(), ok ? "yes (verified)" : "NO");
   return ok ? 0 : 1;
 }

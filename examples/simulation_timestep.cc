@@ -42,8 +42,9 @@ namespace { int Run(int argc, char** argv) {
   Options opts(argc, argv);
   const std::string dir = opts.GetString("dir", "panda_simulation_data");
   const int timesteps = static_cast<int>(opts.GetInt("timesteps", 10));
-  // With --disk_checksums the i/o nodes also maintain CRC32C sidecar
-  // files, which `panda_fsck --verify_checksums` can audit offline.
+  // With --disk_checksums the i/o nodes also keep a CRC32C of every
+  // sub-chunk in its shard table, which `panda_fsck --verify` can audit
+  // offline.
   const bool disk_checksums = opts.GetBool("disk_checksums", false);
   opts.CheckAllConsumed();
 

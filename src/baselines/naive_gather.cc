@@ -6,6 +6,7 @@
 #include "mdarray/strided_copy.h"
 #include "msg/hb.h"
 #include "panda/protocol.h"
+#include "store/shard_layout.h"
 
 namespace panda {
 namespace {
@@ -116,8 +117,10 @@ void NaiveGatherWriteServer(Endpoint& ep, FileSystem& fs, const World& world,
   const int sidx = ep.rank() - world.num_clients;
   if (sidx == 0) {
     hb::StampAccess(&fs, "baselines.naive.fs", /*is_write=*/true);
-    auto file = fs.Open(DataFileName("", meta.name, Purpose::kGeneral, 0),
-                        OpenMode::kWrite);
+    auto file = fs.Open(
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, 0), 0),
+        OpenMode::kWrite);
     std::int64_t offset = 0;
     for (const Region& slab : GatherSlabs(meta, params.subchunk_bytes)) {
       const std::int64_t bytes = slab.Volume() * meta.elem_size;
@@ -221,8 +224,10 @@ void NaiveScatterReadServer(Endpoint& ep, FileSystem& fs, const World& world,
   const int sidx = world.server_index(ep.rank());
   if (sidx == 0) {
     hb::StampAccess(&fs, "baselines.naive.fs", /*is_write=*/false);
-    auto file = fs.Open(DataFileName("", meta.name, Purpose::kGeneral, 0),
-                        OpenMode::kRead);
+    auto file = fs.Open(
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, 0), 0),
+        OpenMode::kRead);
     const bool timing = ep.timing_only();
     std::int64_t offset = 0;
     for (const Region& slab : GatherSlabs(meta, params.subchunk_bytes)) {

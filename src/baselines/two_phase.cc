@@ -7,6 +7,7 @@
 #include "mdarray/strided_copy.h"
 #include "msg/hb.h"
 #include "panda/protocol.h"
+#include "store/shard_layout.h"
 
 namespace panda {
 namespace {
@@ -130,8 +131,10 @@ void TwoPhaseWriteServer(Endpoint& ep, FileSystem& fs, const World& world,
 
   if (!plan.ChunksOfServer(sidx).empty()) {
     hb::StampAccess(&fs, "baselines.two_phase.fs", /*is_write=*/true);
-    auto file = fs.Open(DataFileName("", meta.name, Purpose::kGeneral, sidx),
-                        OpenMode::kWrite);
+    auto file = fs.Open(
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, sidx), 0),
+        OpenMode::kWrite);
     for (const int ci : plan.ChunksOfServer(sidx)) {
       const ChunkPlan& cp = plan.chunks()[static_cast<size_t>(ci)];
       const int owner = ConformingOwner(cp.chunk_id, world.num_clients);
@@ -259,8 +262,10 @@ void TwoPhaseReadServer(Endpoint& ep, FileSystem& fs, const World& world,
 
   if (!plan.ChunksOfServer(sidx).empty()) {
     hb::StampAccess(&fs, "baselines.two_phase.fs", /*is_write=*/false);
-    auto file = fs.Open(DataFileName("", meta.name, Purpose::kGeneral, sidx),
-                        OpenMode::kRead);
+    auto file = fs.Open(
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, sidx), 0),
+        OpenMode::kRead);
     for (const int ci : plan.ChunksOfServer(sidx)) {
       const ChunkPlan& cp = plan.chunks()[static_cast<size_t>(ci)];
       const int owner = ConformingOwner(cp.chunk_id, world.num_clients);

@@ -16,8 +16,8 @@
 // state, no external libraries. Decode validates its input and throws
 // PandaError on malformed bytes, so a torn or corrupted frame fails
 // loudly instead of scrambling arrays. Framing (self-describing
-// headers, stored-raw fallback, frame directories) lives in
-// codec/frame.h; virtual-time charging stays with the callers.
+// headers, stored-raw fallback) lives in codec/frame.h; virtual-time
+// charging stays with the callers.
 #pragma once
 
 #include <cstdint>

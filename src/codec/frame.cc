@@ -176,66 +176,4 @@ std::vector<std::byte> ProbeDecodeSubchunk(std::span<const std::byte> slot,
                                                    raw_bytes));
 }
 
-// ---- frame directory -------------------------------------------------
-
-std::string FrameDirFileName(const std::string& data_file) {
-  return data_file + ".fdx";
-}
-
-namespace {
-
-void AppendFrameDirRecord(std::vector<std::byte>& buf,
-                          const FrameDirRecord& rec) {
-  const size_t start = buf.size();
-  Encoder enc(buf);
-  enc.Put<std::int64_t>(rec.file_offset);
-  enc.Put<std::int64_t>(rec.raw_bytes);
-  enc.Put<std::int64_t>(rec.frame_bytes);
-  enc.Put<std::uint32_t>(static_cast<std::uint32_t>(rec.codec));
-  enc.Put<std::uint32_t>(Crc32c({buf.data() + start, 28}));
-  PANDA_CHECK(static_cast<std::int64_t>(buf.size() - start) ==
-              kFrameDirRecordBytes);
-}
-
-}  // namespace
-
-void WriteFrameDirRecord(File& dir, std::int64_t record_index,
-                         const FrameDirRecord& rec) {
-  WriteFrameDirRecords(dir, record_index, {&rec, 1});
-}
-
-void WriteFrameDirRecords(File& dir, std::int64_t first_index,
-                          std::span<const FrameDirRecord> recs) {
-  if (recs.empty()) return;
-  std::vector<std::byte> buf;
-  buf.reserve(recs.size() * static_cast<size_t>(kFrameDirRecordBytes));
-  for (const FrameDirRecord& rec : recs) AppendFrameDirRecord(buf, rec);
-  dir.WriteAt(first_index * kFrameDirRecordBytes, buf,
-              static_cast<std::int64_t>(buf.size()));
-}
-
-std::optional<FrameDirRecord> ReadFrameDirRecord(File& dir,
-                                                 std::int64_t record_index) {
-  const std::int64_t offset = record_index * kFrameDirRecordBytes;
-  if (offset + kFrameDirRecordBytes > dir.Size()) return std::nullopt;
-  std::vector<std::byte> buf(static_cast<size_t>(kFrameDirRecordBytes));
-  dir.ReadAt(offset, buf, kFrameDirRecordBytes);
-  Decoder dec(buf);
-  FrameDirRecord rec;
-  rec.file_offset = dec.Get<std::int64_t>();
-  rec.raw_bytes = dec.Get<std::int64_t>();
-  rec.frame_bytes = dec.Get<std::int64_t>();
-  const std::uint32_t codec = dec.Get<std::uint32_t>();
-  const std::uint32_t stored_crc = dec.Get<std::uint32_t>();
-  if (stored_crc != Crc32c({buf.data(), 28})) return std::nullopt;
-  if (codec > 0xff || !IsValidCodecId(static_cast<std::uint8_t>(codec))) {
-    return std::nullopt;
-  }
-  rec.codec = static_cast<CodecId>(codec);
-  if (rec.raw_bytes < 0 || rec.frame_bytes < 0 || rec.file_offset < 0) {
-    return std::nullopt;
-  }
-  return rec;
-}
-
 }  // namespace panda

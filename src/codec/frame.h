@@ -1,4 +1,4 @@
-// Self-describing codec frames and per-file frame directories.
+// Self-describing codec frames.
 //
 // A frame is `[header | encoded bytes]` where the 28-byte header names
 // the codec and both lengths and carries its own CRC32C:
@@ -14,26 +14,23 @@
 // worth, the sub-chunk is stored raw with no header at all — exactly
 // the bytes codec=none would write.
 //
-// Readers locate encoded sub-chunks through the frame directory
-// (`F.fdx`): fixed 32-byte CRC-framed records, one per work-list
-// ordinal, mirroring the checksum sidecar's indexing. Like the journal,
-// a torn or corrupt directory record is tolerated: readers fall back to
-// probing the slot's self-describing header (a stored-raw slot has no
-// header; the magic + header CRC make a false positive negligible).
+// Readers locate encoded sub-chunks through their shard's table
+// (store/shard_table.h), whose records name each slot's codec and
+// frame size. A torn or corrupt record is tolerated: readers fall back
+// to probing the slot's self-describing header (a stored-raw slot has
+// no header; the magic + header CRC make a false positive negligible).
 //
-// Integrity layering: CRC32C sidecars and journal data CRCs stay
-// computed over the *uncompressed* bytes, so the one-re-read heal and
-// all offline verifiers work unchanged on encoded files.
+// Integrity layering: table-record and journal data CRCs stay computed
+// over the *uncompressed* bytes, so the one-re-read heal and the
+// offline verifiers work unchanged on encoded segments.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "codec/codec.h"
-#include "iosim/file_system.h"
 
 namespace panda {
 
@@ -95,7 +92,7 @@ SubchunkFrame EncodeSubchunkFrame(CodecId requested,
                                   std::span<const std::byte> raw,
                                   std::int64_t elem_size);
 
-// Decodes a slot whose representation is known (from a frame directory
+// Decodes a slot whose representation is known (from a shard-table
 // record): `slot` holds exactly frame_bytes. Throws PandaError on any
 // mismatch or malformed encoding.
 std::vector<std::byte> DecodeSubchunkFrame(std::span<const std::byte> slot,
@@ -103,53 +100,13 @@ std::vector<std::byte> DecodeSubchunkFrame(std::span<const std::byte> slot,
                                            std::int64_t raw_bytes,
                                            std::int64_t elem_size);
 
-// Decodes a slot of *unknown* representation (torn or missing frame
-// directory record): probes the self-describing header; a slot that is
+// Decodes a slot of *unknown* representation (torn or missing table
+// record): probes the self-describing header; a slot that is
 // not a valid frame must be stored-raw of exactly `raw_bytes`. Throws
 // PandaError when it is neither. `used` reports what was found.
 std::vector<std::byte> ProbeDecodeSubchunk(std::span<const std::byte> slot,
                                            std::int64_t raw_bytes,
                                            std::int64_t elem_size,
                                            CodecId* used = nullptr);
-
-// ---- frame directory (`F.fdx`) ---------------------------------------
-
-// Sidecar naming, mirroring integrity's `F.crc` and the journal's
-// `F.wal`.
-std::string FrameDirFileName(const std::string& data_file);
-
-inline constexpr std::int64_t kFrameDirRecordBytes = 32;
-
-// One directory record: where a sub-chunk's frame lives and how it is
-// represented. record layout:
-//   [ i64 file_offset | i64 raw_bytes | i64 frame_bytes |
-//     u32 codec | u32 record_crc(first 28) ]
-struct FrameDirRecord {
-  std::int64_t file_offset = 0;  // absolute offset of the slot
-  std::int64_t raw_bytes = 0;    // decoded (plan) size of the sub-chunk
-  std::int64_t frame_bytes = 0;  // bytes actually stored at the offset
-  CodecId codec = CodecId::kNone;  // kNone = stored raw (no header)
-};
-
-// Writes the fixed-size record at `record_index`.
-void WriteFrameDirRecord(File& dir, std::int64_t record_index,
-                         const FrameDirRecord& rec);
-
-// Batched append: `recs` occupy the contiguous index run starting at
-// `first_index` and go to disk as ONE positioned write. Servers buffer
-// a collective's records and flush once per run, so the directory
-// costs a single per-request disk overhead per collective instead of
-// one per sub-chunk (which would eat the codec's disk savings on
-// overhead-dominated devices). Crash safety is unchanged: a collective
-// that dies before the flush leaves frames without records, and
-// readers heal those by probing the slots' self-describing headers.
-void WriteFrameDirRecords(File& dir, std::int64_t first_index,
-                          std::span<const FrameDirRecord> recs);
-
-// Reads the record at `record_index`; nullopt when the directory is too
-// short (torn tail) or the record fails its CRC — the caller falls back
-// to probing the slot's self-describing header.
-std::optional<FrameDirRecord> ReadFrameDirRecord(File& dir,
-                                                 std::int64_t record_index);
 
 }  // namespace panda

@@ -9,8 +9,8 @@
 // costs a whole-object read-modify-write.
 //
 // Shard files (any path containing ".shard.", including ".tmp"/".repair"
-// staging names) are objects. Everything else — journals, checksum
-// sidecars, schema metadata, flat data files — lives on the node-local
+// staging names) are objects. Everything else — journals, schema
+// metadata, files of other programs — lives on the node-local
 // disk and is charged through the classic DiskModel, which is how real
 // burst-buffer deployments split small hot metadata from bulk data.
 //

@@ -591,10 +591,10 @@ McRunResult RunWorkload(const McConfig& config, const Assignment& forced,
                result.meta_dead_servers == result.dead_servers)));
   if (result.fsck_checked) {
     std::string log;
-    const IntegrityReport crcs =
-        VerifyGroupChecksums(all_fs, meta, config.subchunk_bytes, &log);
-    if (!crcs.Clean()) {
-      result.violations.push_back("fsck checksums: " + log);
+    const SegmentReport segments = VerifyGroupSegments(
+        all_fs, meta, config.subchunk_bytes, /*read_data=*/true, &log);
+    if (!segments.Clean()) {
+      result.violations.push_back("fsck segments: " + log);
     }
     log.clear();
     const JournalReport wal =
@@ -602,17 +602,11 @@ McRunResult RunWorkload(const McConfig& config, const Assignment& forced,
     if (!wal.Clean()) {
       result.violations.push_back("fsck journal: " + log);
     }
-    log.clear();
-    const FrameReport frames =
-        VerifyGroupFrames(all_fs, meta, config.subchunk_bytes, &log);
-    if (!frames.Clean()) {
-      result.violations.push_back("fsck frames: " + log);
-    }
   }
 
-  // Data hash over every file this workload can have committed, for
-  // terminal-state dedup (deterministic: file bytes are a function of
-  // the decision assignment).
+  // Data hash over every segment file this workload can have committed,
+  // for terminal-state dedup (deterministic: file bytes are a function
+  // of the decision assignment).
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int s = 0; s < config.servers; ++s) {
     FileSystem& fs = machine.server_fs(s);
@@ -620,7 +614,11 @@ McRunResult RunWorkload(const McConfig& config, const Assignment& forced,
     for (int i = 0; i < config.arrays; ++i) {
       for (const Purpose purpose :
            {Purpose::kGeneral, Purpose::kTimestep, Purpose::kCheckpoint}) {
-        h = HashFile(h, fs, DataFileName(kGroupName, ArrayName(i), purpose, s));
+        const StreamFiles files = ListStreamFiles(
+            fs, DataFileName(kGroupName, ArrayName(i), purpose, s));
+        for (const std::string& shard : files.shards) {
+          h = HashFile(h, fs, shard);
+        }
       }
     }
   }

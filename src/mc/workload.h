@@ -10,8 +10,8 @@
 //      from Checkpoint() and the data's servers survived, a real
 //      restart (Machine::ResetForRecovery + fresh cluster) must Resume
 //      and Restart bit-exactly.
-//   3. fsck clean — whatever metadata committed, the offline sidecar /
-//      journal / frame verifiers accept it under the recorded
+//   3. fsck clean — whatever metadata committed, the offline segment
+//      walk and journal replay accept it under the recorded
 //      dead-server set. Conditioned on a stable dead set: a node that
 //      dies *between* commits takes its already-committed local data
 //      with it (the paper's i/o nodes write to node-local file

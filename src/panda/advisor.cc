@@ -179,9 +179,10 @@ std::int64_t AdviseShardSize(store::StoreBackend backend,
     return std::max(segment_bytes, subchunk_bytes);
   }
   if (backend == store::StoreBackend::kPosix) {
-    // The flat layout is already sequential-optimal on a posix disk;
-    // shards exist for bounded handles and repair granularity, and
-    // every extra shard costs one table write + one fsync. Prefer few,
+    // One unbounded shard per segment is already sequential-optimal on
+    // a posix disk; bounded shards exist for bounded handles and repair
+    // granularity, and every extra shard costs one fsync (plus a table
+    // write when the segment keeps a table). Prefer few,
     // large shards: the overhead measurably vanishes by 4 MiB
     // (bench_shard_backend), capped so a segment still splits.
     const std::int64_t lo = std::max(subchunk_bytes, 4 * kMiB);

@@ -82,7 +82,7 @@ std::vector<WorkItem> BuildServerWork(const IoPlan& plan,
       ++ordinal;
     }
   };
-  // Original chunks first (their ordinals come first in the sidecar and
+  // Original chunks first (their ordinals come first in the table and
   // journal record layout), then adopted chunks.
   for (int ci : plan.ChunksOfServer(s)) {
     if (layout.alive[static_cast<size_t>(s)]) {

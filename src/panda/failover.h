@@ -67,12 +67,12 @@ struct DegradedLayout {
 // One unit of server-side work under a DegradedLayout: a sub-chunk to
 // gather (write) or scatter (read), with its absolute position within
 // the owner's segment and its ordinal in the owner's work list (the
-// sidecar / journal record index within one segment).
+// shard-table / journal record index within one segment).
 struct WorkItem {
   int chunk_index = 0;            // index into plan.chunks()
   int sub_index = 0;              // index into chunk.subchunks
   std::int64_t file_offset = 0;   // sub-chunk offset inside the segment
-  std::int64_t record_ordinal = 0;  // sidecar/journal record slot
+  std::int64_t record_ordinal = 0;  // table/journal record slot
 };
 
 // Which slice of a server's work list a phase covers.
@@ -91,7 +91,7 @@ std::vector<WorkItem> BuildServerWork(const IoPlan& plan,
                                       WorkPhase phase);
 
 // Sub-chunk records per segment for server `s` under `layout` (original
-// plus adopted) — the sidecar/journal stride between timestep segments.
+// plus adopted) — the journal's record stride between timestep segments.
 std::int64_t RecordsPerSegment(const IoPlan& plan,
                                const DegradedLayout& layout, int s);
 
@@ -122,11 +122,11 @@ std::int64_t ParseLayoutEpochAttr(
     const std::map<std::string, std::string>& attributes);
 
 // The group-metadata attribute recording the shard granularity the
-// group's data files were written with (ServerOptions::shard_bytes).
-// Absent (0) means the flat one-file-per-(array, server) layout;
-// positive means every data file is a set of `F.shard.N` files (see
-// src/store/). Offline tools derive the whole shard map from this one
-// number plus the plan.
+// group's segments were written with (ServerOptions::shard_bytes).
+// Absent (0) means one unbounded shard per segment; positive means
+// segments were cut into shards of about that many bytes (see
+// panda/store_io.h). Offline tools derive the whole shard map from this
+// one number plus the plan.
 inline constexpr const char* kShardBytesAttr = "__panda.shard_bytes";
 
 std::int64_t ParseShardBytesAttr(

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "panda/frame_io.h"
 #include "panda/store_io.h"
 #include "util/codec.h"
 #include "util/crc32c.h"
@@ -207,7 +206,6 @@ JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
                                  std::int64_t expected_epoch,
                                  std::int64_t shard_bytes) {
   JournalReport report;
-  const bool sharded = shard_bytes > 0;
   const int num_servers = static_cast<int>(fs.size());
   const IoPlan plan(meta, num_servers, subchunk_bytes);
   const DegradedLayout layout = DegradedLayout::Compute(plan, dead_servers);
@@ -219,10 +217,9 @@ JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
     if (work.empty()) continue;  // this server stores none of the array
 
     const std::string data_name = DataFileName(group, meta.name, purpose, s);
-    // Sharded layouts have no flat file; shard 0 marks that this
-    // (array, purpose) was ever written on this server.
-    if (!fs[s]->Exists(sharded ? store::ShardFileName(data_name, 0)
-                               : data_name)) {
+    // Shard 0 marks that this (array, purpose) was ever written on this
+    // server.
+    if (!fs[s]->Exists(store::ShardFileName(data_name, 0))) {
       continue;  // array/purpose never written
     }
 
@@ -235,23 +232,12 @@ JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
     }
 
     ++report.files_checked;
-    std::unique_ptr<File> data;
-    if (!sharded) data = fs[s]->Open(data_name, OpenMode::kRead);
     auto journal = fs[s]->Open(journal_name, OpenMode::kRead);
-    // Journal data CRCs cover the *decoded* bytes: codec arrays verify
-    // through the frame directory (or header probing). Sharded layouts
-    // carry the frame metadata in each shard's table instead.
-    std::unique_ptr<File> frame_dir;
-    if (!sharded && meta.codec != CodecId::kNone &&
-        fs[s]->Exists(FrameDirFileName(data_name))) {
-      frame_dir = fs[s]->Open(FrameDirFileName(data_name), OpenMode::kRead);
-    }
-    std::optional<store::ShardLayout> shards;
-    std::optional<store::ShardReader> reader;
-    if (sharded) {
-      shards = BuildShardLayout(plan, layout, s, shard_bytes);
-      reader.emplace(OfflineShardReader(*fs[s], data_name, &*shards));
-    }
+    // Journal data CRCs cover the *decoded* bytes: the shard reader
+    // decodes through each shard's table (or header probing).
+    const store::ShardLayout shards = PackWork(plan, work, shard_bytes);
+    store::ShardReader reader =
+        OfflineShardReader(*fs[s], data_name, &shards, meta);
     const std::int64_t records_per_segment =
         static_cast<std::int64_t>(work.size());
     const std::optional<JournalHeader> hdr = ReadJournalHeader(*journal);
@@ -329,13 +315,7 @@ JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
 
         ++report.records_checked;
         try {
-          if (sharded) {
-            buf = std::move(reader->Get(seg, k, meta.elem_size).raw);
-          } else {
-            buf = ReadSubchunkForVerify(*data, frame_dir.get(), meta.codec,
-                                        record_index, want_offset, sp.bytes,
-                                        meta.elem_size);
-          }
+          buf = std::move(reader.Get(seg, k, meta.elem_size).raw);
         } catch (const PandaError& e) {
           ++report.data_mismatches;
           AppendLog(log, "unreadable journaled sub-chunk (" +
@@ -363,24 +343,12 @@ JournalReport VerifyGroupJournal(std::span<FileSystem* const> fs,
   const std::vector<int> dead = ParseDeadServersAttr(meta.attributes);
   const std::int64_t epoch = ParseLayoutEpochAttr(meta.attributes);
   const std::int64_t shard_bytes = ParseShardBytesAttr(meta.attributes);
-  for (size_t a = 0; a < meta.arrays.size(); ++a) {
-    const ArrayMeta& array = meta.arrays[a];
-    const auto idx = static_cast<std::int32_t>(a);
-    report.Merge(VerifyArrayJournal(fs, array, idx, subchunk_bytes,
-                                    Purpose::kGeneral, 1, meta.group, dead,
-                                    log, epoch, shard_bytes));
-    if (meta.timesteps > 0) {
-      report.Merge(VerifyArrayJournal(fs, array, idx, subchunk_bytes,
-                                      Purpose::kTimestep, meta.timesteps,
-                                      meta.group, dead, log, epoch,
-                                      shard_bytes));
-    }
-    if (meta.has_checkpoint) {
-      report.Merge(VerifyArrayJournal(fs, array, idx, subchunk_bytes,
-                                      Purpose::kCheckpoint, 1, meta.group, dead,
-                                      log, epoch, shard_bytes));
-    }
-  }
+  ForEachGroupStream(meta, [&](std::int32_t index, const ArrayMeta& array,
+                               Purpose purpose, std::int64_t segments) {
+    report.Merge(VerifyArrayJournal(fs, array, index, subchunk_bytes, purpose,
+                                    segments, meta.group, dead, log, epoch,
+                                    shard_bytes));
+  });
   return report;
 }
 

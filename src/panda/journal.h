@@ -1,6 +1,6 @@
 // Write-ahead chunk journal: per-server commit records.
 //
-// With `ServerOptions::journal` on, each data file `F` gains a journal
+// With `ServerOptions::journal` on, each segment stream `F` gains a journal
 // `F.wal` that records every sub-chunk the server has durably written.
 // One fixed-size record per sub-chunk, in the deterministic work-list
 // order all participants share (original chunks then adopted chunks,
@@ -20,9 +20,11 @@
 //
 // The journal is what makes degraded-mode recovery *incremental* in
 // principle and *verifiable* in practice: `panda_fsck --verify_journal`
-// replays every record against the plan (framing) and the data file
-// (CRC), and flags chunks the journal never committed. Checkpoint
-// journals ride the same tmp+rename publication as checkpoint data.
+// replays every record against the plan (framing) and the segment data
+// (CRC), and flags chunks the journal never committed. Offsets are
+// logical: `seq * segment_bytes + offset within the segment`, whatever
+// shard files hold the bytes. Checkpoint journals ride the same
+// tmp+rename publication as checkpoint data.
 #pragma once
 
 #include <cstdint>
@@ -157,10 +159,9 @@ struct JournalReport {
 // header whose epoch is *greater* counts epoch_mismatches: the journal
 // claims a layout generation the committed metadata never recorded (a
 // torn rejoin-repair commit). A smaller epoch is fine — failovers bump
-// the metadata epoch without rewriting survivor journals. A positive
-// `shard_bytes` (the group's `__panda.shard_bytes` attribute) re-reads
-// data through the sharded layout (src/store/) instead of the flat
-// per-server file.
+// the metadata epoch without rewriting survivor journals. Data is
+// re-read through the shard store at `shard_bytes` granularity (the
+// group's `__panda.shard_bytes` attribute; 0 = one shard per segment).
 JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
                                  const ArrayMeta& meta, std::int32_t array_index,
                                  std::int64_t subchunk_bytes, Purpose purpose,
@@ -172,7 +173,7 @@ JournalReport VerifyArrayJournal(std::span<FileSystem* const> fs,
                                  std::int64_t shard_bytes = 0);
 
 // Group-level sweep driven by the group's schema metadata (mirrors
-// VerifyGroupChecksums); the dead-server set is read from the group's
+// VerifyGroupSegments); the dead-server set is read from the group's
 // `__panda.dead_servers` attribute.
 JournalReport VerifyGroupJournal(std::span<FileSystem* const> fs,
                                  const GroupMeta& meta,

@@ -34,8 +34,6 @@
 #include "panda/client.h"
 #include "panda/cost_model.h"
 #include "panda/failover.h"
-#include "panda/frame_io.h"
-#include "panda/integrity.h"
 #include "panda/journal.h"
 #include "panda/plan.h"
 #include "panda/plan_cache.h"

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
-#include "codec/frame.h"
 #include "msg/collectives.h"
 #include "msg/hb.h"
 #include "msg/message.h"
 #include "panda/failover.h"
-#include "panda/frame_io.h"
-#include "panda/integrity.h"
 #include "panda/journal.h"
 #include "panda/store_io.h"
 #include "trace/trace.h"
@@ -65,7 +64,7 @@ struct RepairTransfer {
   std::int64_t seg = 0;
   std::int32_t chunk_index = 0;
   std::int32_t sub_index = 0;
-  std::uint32_t crc = 0;
+  std::uint32_t payload_crc = 0;
 };
 
 Message MakeTransferMessage(const RepairTransfer& t,
@@ -77,7 +76,7 @@ Message MakeTransferMessage(const RepairTransfer& t,
   enc.Put<std::int64_t>(t.seg);
   enc.Put<std::int32_t>(t.chunk_index);
   enc.Put<std::int32_t>(t.sub_index);
-  enc.Put<std::uint32_t>(t.crc);
+  enc.Put<std::uint32_t>(t.payload_crc);
   msg.SetPayload(std::move(payload));
   return msg;
 }
@@ -90,190 +89,17 @@ RepairTransfer DecodeTransferHeader(const Message& msg) {
   t.seg = dec.Get<std::int64_t>();
   t.chunk_index = dec.Get<std::int32_t>();
   t.sub_index = dec.Get<std::int32_t>();
-  t.crc = dec.Get<std::uint32_t>();
+  t.payload_crc = dec.Get<std::uint32_t>();
   return t;
 }
 
-// Sub-chunk writer shared by the rejoinee (final names) and the
-// adopters (`.repair` staging): the same frame/sidecar/journal pipeline
-// ServerWriteArray runs, minus the overlap scheduler — repair moves
-// already-committed bytes, not a collective's critical path.
-class RepairFileWriter {
- public:
-  // `shard_layout` non-null routes the data through a ShardWriter at
-  // `write_name`-derived shard files (src/store/) instead of one flat
-  // file; sidecar and journal stay flat either way.
-  RepairFileWriter(Endpoint& ep, FileSystem& fs, const ServerOptions& options,
-                   const ArrayMeta& meta, const std::string& write_name,
-                   const JournalHeader& journal_header,
-                   const store::ShardLayout* shard_layout = nullptr)
-      : ep_(ep), options_(options), meta_(meta) {
-    const RetryPolicy& retry = options.retry;
-    RobustnessStats* stats = options.robustness;
-    if (shard_layout != nullptr) {
-      store::StoreOptions sopt;
-      sopt.shard_bytes = options.shard_bytes;
-      sopt.backend = options.backend;
-      sopt.handle_pool_capacity = options.handle_pool_capacity;
-      shard_writer_.emplace(&fs, write_name, shard_layout, sopt,
-                            OpenMode::kWrite, retry, &ep.clock(), stats);
-    } else {
-      retry.Run(&ep.clock(), stats,
-                [&] { data_ = fs.Open(write_name, OpenMode::kWrite); });
-    }
-    if (options.disk_checksums) {
-      retry.Run(&ep.clock(), stats, [&] {
-        sidecar_ = fs.Open(SidecarFileName(write_name), OpenMode::kWrite);
-      });
-    }
-    if (options.journal) {
-      retry.Run(&ep.clock(), stats, [&] {
-        journal_ = fs.Open(JournalFileName(write_name), OpenMode::kWrite);
-      });
-      jhdr_ = journal_header;
-      retry.Run(&ep.clock(), stats,
-                [&] { WriteJournalHeader(*journal_, *jhdr_); });
-    }
-    // The shard table replaces the frame directory under sharding.
-    if (meta.codec != CodecId::kNone && shard_layout == nullptr) {
-      retry.Run(&ep.clock(), stats, [&] {
-        frame_dir_ = fs.Open(FrameDirFileName(write_name), OpenMode::kWrite);
-      });
-    }
-  }
-
-  // Writes one sub-chunk's raw bytes at `file_offset` / record slot
-  // `record_index`, with the journal record's logical coordinates.
-  void WriteSubchunk(const JournalRecord& rec,
-                     std::span<const std::byte> raw) {
-    const RetryPolicy& retry = options_.retry;
-    RobustnessStats* stats = options_.robustness;
-    SubchunkFrame frame;
-    const bool encode =
-        frame_dir_ != nullptr ||
-        (shard_writer_.has_value() && meta_.codec != CodecId::kNone);
-    if (encode) {
-      frame = EncodeSubchunkFrame(meta_.codec, raw, meta_.elem_size);
-    }
-    if (shard_writer_.has_value()) {
-      // The writer retries internally.
-      if (encode && frame.codec != CodecId::kNone) {
-        shard_writer_->Put(seg_, ordinal_, rec.array_index, rec.chunk_id,
-                           rec.sub_index, frame.codec,
-                           {frame.bytes.data(), frame.bytes.size()},
-                           static_cast<std::int64_t>(frame.bytes.size()));
-      } else {
-        shard_writer_->Put(seg_, ordinal_, rec.array_index, rec.chunk_id,
-                           rec.sub_index, CodecId::kNone, raw, rec.bytes);
-      }
-    } else {
-      retry.Run(&ep_.clock(), stats, [&] {
-        if (frame_dir_ != nullptr && frame.codec != CodecId::kNone) {
-          data_->WriteAt(rec.file_offset,
-                         {frame.bytes.data(), frame.bytes.size()},
-                         static_cast<std::int64_t>(frame.bytes.size()));
-        } else {
-          data_->WriteAt(rec.file_offset, raw, rec.bytes);
-        }
-      });
-    }
-    if (frame_dir_ != nullptr) {
-      frame_recs_.emplace_back(
-          rec_index_override_,
-          FrameDirRecord{rec.file_offset, rec.bytes,
-                         frame.frame_bytes(rec.bytes), frame.codec});
-    }
-    if (sidecar_ != nullptr) {
-      const CrcRecord crc_rec{rec.file_offset, rec.bytes, rec.data_crc};
-      retry.Run(&ep_.clock(), stats, [&] {
-        WriteCrcRecord(*sidecar_, rec_index_override_, crc_rec);
-      });
-    }
-    if (journal_ != nullptr &&
-        rec_index_override_ >= jhdr_->base_record) {
-      retry.Run(&ep_.clock(), stats, [&] {
-        WriteJournalRecord(*journal_, jhdr_, rec_index_override_, rec);
-      });
-      if (stats != nullptr) stats->journal_records_written.fetch_add(1);
-    }
-  }
-
-  // `seg`/`ordinal` locate the record for the shard writer (segment and
-  // in-segment record ordinal); `index` is the flat sidecar/journal
-  // record slot, as before.
-  void set_record_index(std::int64_t index, std::int64_t seg = 0,
-                        std::int64_t ordinal = 0) {
-    rec_index_override_ = index;
-    seg_ = seg;
-    ordinal_ = ordinal;
-  }
-
-  // Flushes the buffered frame directory and fsyncs everything.
-  void Finish() {
-    const RetryPolicy& retry = options_.retry;
-    RobustnessStats* stats = options_.robustness;
-    if (frame_dir_ != nullptr) {
-      std::sort(frame_recs_.begin(), frame_recs_.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      size_t i = 0;
-      while (i < frame_recs_.size()) {
-        size_t j = i + 1;
-        std::vector<FrameDirRecord> run{frame_recs_[i].second};
-        while (j < frame_recs_.size() &&
-               frame_recs_[j].first ==
-                   frame_recs_[i].first + static_cast<std::int64_t>(j - i)) {
-          run.push_back(frame_recs_[j].second);
-          ++j;
-        }
-        retry.Run(&ep_.clock(), stats, [&] {
-          WriteFrameDirRecords(*frame_dir_, frame_recs_[i].first, run);
-        });
-        i = j;
-      }
-      retry.Run(&ep_.clock(), stats, [&] { frame_dir_->Sync(); });
-    }
-    if (shard_writer_.has_value()) {
-      shard_writer_->Finish();
-    } else {
-      retry.Run(&ep_.clock(), stats, [&] { data_->Sync(); });
-    }
-    if (sidecar_ != nullptr) {
-      retry.Run(&ep_.clock(), stats, [&] { sidecar_->Sync(); });
-    }
-    if (journal_ != nullptr) {
-      retry.Run(&ep_.clock(), stats, [&] { journal_->Sync(); });
-    }
-  }
-
- private:
-  Endpoint& ep_;
-  const ServerOptions& options_;
-  const ArrayMeta& meta_;
-  std::unique_ptr<File> data_;
-  std::optional<store::ShardWriter> shard_writer_;
-  std::unique_ptr<File> sidecar_;
-  std::unique_ptr<File> journal_;
-  std::unique_ptr<File> frame_dir_;
-  std::optional<JournalHeader> jhdr_;
-  std::int64_t rec_index_override_ = 0;
-  std::int64_t seg_ = 0;
-  std::int64_t ordinal_ = 0;
-  std::vector<std::pair<std::int64_t, FrameDirRecord>> frame_recs_;
-};
-
-// Drops every on-disk artifact of `data_name` (stale-cede on the
-// rejoinee, and disabled-feature cleanup before staging).
-void RemoveFileSet(Endpoint& ep, FileSystem& fs, const ServerOptions& options,
-                   const std::string& data_name) {
+// Drops every file of stream `data_name` (stale-cede on the rejoinee,
+// stale staging before a rebuild).
+void RemoveStream(Endpoint& ep, FileSystem& fs, const ServerOptions& options,
+                  const std::string& data_name) {
   options.retry.Run(&ep.clock(), options.robustness, [&] {
-    fs.Remove(data_name);
-    fs.Remove(SidecarFileName(data_name));
-    fs.Remove(JournalFileName(data_name));
-    fs.Remove(FrameDirFileName(data_name));
-    // Shard files are contiguous from 0 by construction.
-    for (std::int64_t id = 0; fs.Exists(store::ShardFileName(data_name, id));
-         ++id) {
-      fs.Remove(store::ShardFileName(data_name, id));
+    for (const std::string& name : StaleStreamFiles(fs, data_name, 0, false)) {
+      fs.Remove(name);
     }
   });
 }
@@ -323,276 +149,150 @@ std::int64_t RepairArrayPurpose(
       DataFileName(req.group, meta.name, purpose, sidx);
   const std::vector<WorkItem> identity_work =
       BuildServerWork(plan, identity, sidx, WorkPhase::kFull);
-  const std::int64_t rps_identity = RecordsPerSegment(plan, identity, sidx);
-  // Sharded groups rebuild into shard files under the identity layout's
-  // shard map (the same pure function every writer/reader derives).
-  const bool sharded = options.shard_bytes > 0;
-  std::optional<store::ShardLayout> identity_shards;
-  if (sharded && !identity_work.empty()) {
-    identity_shards =
-        BuildShardLayout(plan, identity, sidx, options.shard_bytes);
-  }
+  // Rebuilt segments take the identity layout's shard map (the same
+  // pure function every writer and reader derives).
+  const store::ShardLayout identity_shards =
+      PackWork(plan, identity_work, options.shard_bytes);
+  // Files a rebuilt stream occupies (an owner of no chunks keeps one
+  // empty file for non-timestep purposes, as collective writes do).
+  const std::int64_t files =
+      identity_work.empty()
+          ? (purpose != Purpose::kTimestep ? 1 : 0)
+          : num_segments * identity_shards.shards_per_segment();
   // Rebuilt timestep journals keep the committed checkpoint's GC base;
   // single-segment purposes start from record 0.
   JournalHeader jhdr;
   jhdr.epoch = new_epoch;
   if (purpose == Purpose::kTimestep && checkpoint_seq > 0) {
-    jhdr.base_record = checkpoint_seq * rps_identity;
+    jhdr.base_record = checkpoint_seq * identity_shards.records_per_segment();
   }
-
-  if (rejoinee) {
-    SalvageStaleJournal(ep, fs, options, final_name);
-    RemoveFileSet(ep, fs, options, final_name);
-    if (identity_work.empty()) {
-      if (purpose != Purpose::kTimestep) {
-        options.retry.Run(&ep.clock(), options.robustness,
-                          [&] { fs.Open(final_name, OpenMode::kWrite); });
-      }
-      return 0;
-    }
-    // Rebuild at the final names: the committed metadata still records
-    // this server dead, so a crash mid-rebuild leaves nothing trusted.
-    RepairFileWriter writer(ep, fs, options, meta, final_name, jhdr,
-                            identity_shards ? &*identity_shards : nullptr);
-    std::int64_t chunks_back = 0;
-    std::vector<std::byte> buf;
-    for (std::int64_t seg = 0; seg < num_segments; ++seg) {
-      const std::int64_t base_off =
-          purpose == Purpose::kTimestep ? seg * plan.SegmentBytes(sidx) : 0;
-      const std::int64_t record_base =
-          purpose == Purpose::kTimestep ? seg * rps_identity : 0;
-      for (const WorkItem& item : identity_work) {
-        const ChunkPlan& cp =
-            plan.chunks()[static_cast<size_t>(item.chunk_index)];
-        const SubchunkPlan& sp =
-            cp.subchunks[static_cast<size_t>(item.sub_index)];
-        const int owner = degraded.owner[static_cast<size_t>(item.chunk_index)];
-        // Repair streams run under ServerMain's converting dispatch: an
-        // adopter that dies mid-stream raises PeerDeadError via its
-        // lease and aborts the repair collective as a whole. A deadline
-        // here would cap legitimate large-segment transfer times.
-        // panda-lint: allow(proto-deadline)
-        Message msg = ep.Recv(world.server_rank(owner), kTagRejoin);
-        const RepairTransfer t = DecodeTransferHeader(msg);
-        PANDA_REQUIRE(t.array_index == array_index &&
-                          t.purpose == static_cast<std::uint8_t>(purpose) &&
-                          t.seg == seg && t.chunk_index == item.chunk_index &&
-                          t.sub_index == item.sub_index,
-                      "repair transfer out of order: adopter %d sent array=%d "
-                      "purpose=%u seg=%lld chunk=%d sub=%d",
-                      owner, t.array_index, t.purpose,
-                      static_cast<long long>(t.seg), t.chunk_index,
-                      t.sub_index);
-        PANDA_REQUIRE(
-            static_cast<std::int64_t>(msg.payload.size()) == sp.bytes,
-            "repair transfer size mismatch");
-        const std::uint32_t got =
-            Crc32c({msg.payload.data(), msg.payload.size()});
-        if (got != t.crc) {
-          if (options.robustness != nullptr) {
-            options.robustness->wire_checksum_failures.fetch_add(1);
-          }
-          PANDA_REQUIRE(false,
-                        "repair transfer from server %d failed its end-to-end "
-                        "checksum (wire %08x != computed %08x)",
-                        owner, t.crc, got);
-        }
-        JournalRecord rec;
-        rec.array_index = array_index;
-        rec.chunk_id = cp.chunk_id;
-        rec.sub_index = item.sub_index;
-        rec.seq = purpose == Purpose::kTimestep ? seg : 0;
-        rec.file_offset = base_off + item.file_offset;
-        rec.bytes = sp.bytes;
-        rec.data_crc = got;
-        writer.set_record_index(record_base + item.record_ordinal, seg,
-                                item.record_ordinal);
-        writer.WriteSubchunk(rec, {msg.payload.data(), msg.payload.size()});
-        if (item.sub_index == 0) ++chunks_back;
-      }
-    }
-    writer.Finish();
-    return chunks_back;
-  }
-
-  // Survivor. Without adopted chunks the degraded file IS the identity
-  // file (same owners, same offsets, same stride): untouched.
+  // Survivor without adopted chunks: its degraded segments ARE the
+  // identity segments (same owners, offsets and stride) — untouched.
   const std::vector<int>& adopted = degraded.adopted[static_cast<size_t>(sidx)];
-  if (adopted.empty()) return 0;
+  if (!rejoinee && adopted.empty()) return 0;
 
-  // Old record index and in-segment offset of every (chunk, sub) this
-  // server holds under the degraded layout.
-  struct OldSlot {
-    std::int64_t file_offset = 0;
-    std::int64_t record_ordinal = 0;
-  };
-  std::map<std::pair<int, int>, OldSlot> old_slots;
-  const std::vector<WorkItem> degraded_work =
-      BuildServerWork(plan, degraded, sidx, WorkPhase::kFull);
-  for (const WorkItem& item : degraded_work) {
-    old_slots[{item.chunk_index, item.sub_index}] =
-        OldSlot{item.file_offset, item.record_ordinal};
+  // A rejoinee cedes its pre-crash files and rebuilds at the final
+  // names: the committed metadata still records it dead, so a crash
+  // mid-rebuild leaves nothing trusted. An adopter rebuilds under a
+  // `.repair` staging name published at the barrier; degraded-layout
+  // shards past the identity count (the adopted chunks' spill) are
+  // staged as removals.
+  const std::string write_name =
+      rejoinee ? final_name : final_name + ".repair";
+  if (rejoinee) SalvageStaleJournal(ep, fs, options, final_name);
+  RemoveStream(ep, fs, options, write_name);
+  if (!rejoinee) {
+    StageStreamPublication(fs, write_name, final_name, files,
+                           options.journal && !identity_work.empty(), staged);
   }
-  const std::int64_t rps_degraded = RecordsPerSegment(plan, degraded, sidx);
-
-  // The survivor's degraded-layout data: flat file, or its shard set
-  // under the *degraded* shard map (which is where the adopted chunks
-  // currently live).
-  std::unique_ptr<File> old_data;
-  std::unique_ptr<File> old_frame_dir;
-  std::optional<store::ShardLayout> old_shards;
-  std::optional<store::ShardReader> old_reader;
-  if (sharded) {
-    old_shards = BuildShardLayout(plan, degraded, sidx, options.shard_bytes);
-    store::StoreOptions sopt;
-    sopt.shard_bytes = options.shard_bytes;
-    sopt.backend = options.backend;
-    sopt.handle_pool_capacity = options.handle_pool_capacity;
-    old_reader.emplace(&fs, final_name, &*old_shards, sopt, options.retry,
-                       &ep.clock(), options.robustness);
-  } else {
-    options.retry.Run(&ep.clock(), options.robustness,
-                      [&] { old_data = fs.Open(final_name, OpenMode::kRead); });
-    if (meta.codec != CodecId::kNone &&
-        fs.Exists(FrameDirFileName(final_name))) {
-      options.retry.Run(&ep.clock(), options.robustness, [&] {
-        old_frame_dir = fs.Open(FrameDirFileName(final_name), OpenMode::kRead);
-      });
-    }
-  }
-
-  // Stage the identity-layout rebuild; renamed after the barrier.
-  const std::string stage_name = final_name + ".repair";
-  RemoveFileSet(ep, fs, options, stage_name);
-  RepairFileWriter writer(ep, fs, options, meta, stage_name, jhdr,
-                          identity_shards ? &*identity_shards : nullptr);
-  if (identity_shards.has_value()) {
-    // Every identity shard rides the rename barrier; degraded-layout
-    // shards past the identity count (the adopted chunks' spill) are
-    // staged as removals (empty `from`), and so is a stale flat file.
-    const std::int64_t sps = identity_shards->shards_per_segment();
-    const std::int64_t total = num_segments * sps;
-    for (std::int64_t id = 0; id < total; ++id) {
-      staged.emplace_back(store::ShardFileName(stage_name, id),
-                          store::ShardFileName(final_name, id));
-    }
-    for (std::int64_t id = total;
-         fs.Exists(store::ShardFileName(final_name, id)); ++id) {
-      staged.emplace_back(std::string(),
-                          store::ShardFileName(final_name, id));
-    }
-    if (fs.Exists(final_name)) {
-      staged.emplace_back(std::string(), final_name);
-    }
-  } else {
-    // Flat rebuild (also the sharded case with no identity-owned
-    // chunks: the stage file is the empty marker, and every degraded
-    // shard the adoption spilled here is retired at the barrier).
-    staged.emplace_back(stage_name, final_name);
-    if (sharded) {
-      for (std::int64_t id = 0;
-           fs.Exists(store::ShardFileName(final_name, id)); ++id) {
-        staged.emplace_back(std::string(),
-                            store::ShardFileName(final_name, id));
-      }
-    }
-  }
-  if (options.disk_checksums) {
-    staged.emplace_back(SidecarFileName(stage_name),
-                        SidecarFileName(final_name));
-  } else {
-    // The rename replaces only the data file: drop stale artifacts of
-    // now-disabled features explicitly.
-    options.retry.Run(&ep.clock(), options.robustness,
-                      [&] { fs.Remove(SidecarFileName(final_name)); });
-  }
-  if (options.journal) {
-    staged.emplace_back(JournalFileName(stage_name),
-                        JournalFileName(final_name));
-  } else {
-    options.retry.Run(&ep.clock(), options.robustness,
-                      [&] { fs.Remove(JournalFileName(final_name)); });
-  }
-  if (meta.codec != CodecId::kNone) {
-    staged.emplace_back(FrameDirFileName(stage_name),
-                        FrameDirFileName(final_name));
-  } else {
-    options.retry.Run(&ep.clock(), options.robustness,
-                      [&] { fs.Remove(FrameDirFileName(final_name)); });
-  }
-
-  auto read_old = [&](const WorkItem& like, std::int64_t seg,
-                      const SubchunkPlan& sp) {
-    const OldSlot& slot = old_slots.at({like.chunk_index, like.sub_index});
-    if (old_reader.has_value()) {
-      const std::int64_t old_seg = purpose == Purpose::kTimestep ? seg : 0;
-      store::ShardRead got =
-          old_reader->Get(old_seg, slot.record_ordinal, meta.elem_size);
-      return std::move(got.raw);
-    }
-    const std::int64_t old_base =
-        purpose == Purpose::kTimestep ? seg * degraded.SegmentBytes(sidx) : 0;
-    const std::int64_t old_record =
-        (purpose == Purpose::kTimestep ? seg * rps_degraded : 0) +
-        slot.record_ordinal;
-    std::vector<std::byte> raw;
+  std::optional<SegmentWriter> writer;
+  if (!identity_work.empty()) {
+    writer.emplace(fs, &ep.clock(), options, meta, /*timing=*/false,
+                   write_name, &identity_shards, OpenMode::kWrite,
+                   OpenMode::kWrite, jhdr);
+  } else if (files > 0) {
     options.retry.Run(&ep.clock(), options.robustness, [&] {
-      raw = ReadSubchunkForVerify(*old_data, old_frame_dir.get(), meta.codec,
-                                  old_record, old_base + slot.file_offset,
-                                  sp.bytes, meta.elem_size);
+      fs.Open(store::ShardFileName(write_name, 0), OpenMode::kWrite);
     });
-    return raw;
+  }
+
+  // An adopter's source: its degraded-layout segments (where the
+  // adopted chunks currently live), by each (chunk, sub)'s old ordinal.
+  std::map<std::pair<int, int>, std::int64_t> old_ordinals;
+  const std::vector<WorkItem> degraded_work =
+      rejoinee ? std::vector<WorkItem>{}
+               : BuildServerWork(plan, degraded, sidx, WorkPhase::kFull);
+  for (const WorkItem& item : degraded_work) {
+    old_ordinals[{item.chunk_index, item.sub_index}] = item.record_ordinal;
+  }
+  const store::ShardLayout old_shards =
+      PackWork(plan, degraded_work, options.shard_bytes);
+  store::ShardReader old_reader(&fs, final_name, &old_shards,
+                                StoreOptionsFor(options, meta, false),
+                                options.retry, &ep.clock(), options.robustness);
+  const auto read_old = [&](int ci, int si, std::int64_t seg) {
+    store::ShardRead got = old_reader.Get(seg, old_ordinals.at({ci, si}),
+                                          meta.elem_size);
+    PANDA_REQUIRE(!got.checksum_failed,
+                  "repair source %s (segment %lld, chunk %d sub %d) failed "
+                  "its on-disk checksum after a re-read",
+                  final_name.c_str(), static_cast<long long>(seg), ci, si);
+    return std::move(got.raw);
+  };
+  // A rejoinee's source: the adopter's transfer of the same sub-chunk.
+  const auto receive = [&](const WorkItem& item, std::int64_t seg) {
+    const int owner = degraded.owner[static_cast<size_t>(item.chunk_index)];
+    // Repair streams run under ServerMain's converting dispatch: an
+    // adopter that dies mid-stream raises PeerDeadError via its lease
+    // and aborts the repair collective as a whole. A deadline here
+    // would cap legitimate large-segment transfer times.
+    // panda-lint: allow(proto-deadline)
+    Message msg = ep.Recv(world.server_rank(owner), kTagRejoin);
+    const RepairTransfer t = DecodeTransferHeader(msg);
+    PANDA_REQUIRE(t.array_index == array_index &&
+                      t.purpose == static_cast<std::uint8_t>(purpose) &&
+                      t.seg == seg && t.chunk_index == item.chunk_index &&
+                      t.sub_index == item.sub_index,
+                  "repair transfer out of order: adopter %d sent array=%d "
+                  "purpose=%u seg=%lld chunk=%d sub=%d",
+                  owner, t.array_index, t.purpose,
+                  static_cast<long long>(t.seg), t.chunk_index, t.sub_index);
+    const SubchunkPlan& sp =
+        plan.chunks()[static_cast<size_t>(item.chunk_index)]
+            .subchunks[static_cast<size_t>(item.sub_index)];
+    PANDA_REQUIRE(static_cast<std::int64_t>(msg.payload.size()) == sp.bytes,
+                  "repair transfer size mismatch");
+    const std::uint32_t got = Crc32c({msg.payload.data(), msg.payload.size()});
+    if (got != t.payload_crc) {
+      if (options.robustness != nullptr) {
+        options.robustness->wire_checksum_failures.fetch_add(1);
+      }
+      PANDA_REQUIRE(false,
+                    "repair transfer from server %d failed its end-to-end "
+                    "checksum (wire %08x != computed %08x)",
+                    owner, t.payload_crc, got);
+    }
+    return std::move(msg.payload);
   };
 
+  std::int64_t chunks_back = 0;
   for (std::int64_t seg = 0; seg < num_segments; ++seg) {
-    const std::int64_t base_off =
-        purpose == Purpose::kTimestep ? seg * plan.SegmentBytes(sidx) : 0;
-    const std::int64_t record_base =
-        purpose == Purpose::kTimestep ? seg * rps_identity : 0;
-    // Own chunks: same bytes, identity offsets and stride.
-    for (const WorkItem& item : identity_work) {
-      const ChunkPlan& cp =
-          plan.chunks()[static_cast<size_t>(item.chunk_index)];
-      const SubchunkPlan& sp =
-          cp.subchunks[static_cast<size_t>(item.sub_index)];
-      const std::vector<std::byte> raw = read_old(item, seg, sp);
-      JournalRecord rec;
-      rec.array_index = array_index;
-      rec.chunk_id = cp.chunk_id;
-      rec.sub_index = item.sub_index;
-      rec.seq = purpose == Purpose::kTimestep ? seg : 0;
-      rec.file_offset = base_off + item.file_offset;
-      rec.bytes = sp.bytes;
-      rec.data_crc = Crc32c({raw.data(), raw.size()});
-      writer.set_record_index(record_base + item.record_ordinal, seg,
-                              item.record_ordinal);
-      writer.WriteSubchunk(rec, {raw.data(), raw.size()});
+    // Own chunks at their identity offsets and stride.
+    for (size_t k = 0; k < identity_work.size(); ++k) {
+      const WorkItem& item = identity_work[k];
+      const std::vector<std::byte> raw =
+          rejoinee ? receive(item, seg)
+                   : read_old(item.chunk_index, item.sub_index, seg);
+      const bool chunk_done =
+          k + 1 == identity_work.size() ||
+          identity_work[k + 1].chunk_index != item.chunk_index;
+      writer->Put(seg, item, array_index,
+                  plan.chunks()[static_cast<size_t>(item.chunk_index)].chunk_id,
+                  {raw.data(), raw.size()}, writer->Encode(raw), chunk_done);
+      if (rejoinee && item.sub_index == 0) ++chunks_back;
     }
-    // Adopted chunks: stream each sub-chunk back to its identity owner
-    // (ascending chunk then sub order — the receivers' directed-Recv
-    // order is the same subsequence).
+    // Adopted chunks (an adopter's; a rejoinee adopted none): stream each
+    // sub-chunk back to its identity owner (ascending chunk then sub
+    // order — the receivers' directed-Recv order is the same
+    // subsequence).
     for (int ci : adopted) {
       const ChunkPlan& cp = plan.chunks()[static_cast<size_t>(ci)];
       for (size_t si = 0; si < cp.subchunks.size(); ++si) {
-        const SubchunkPlan& sp = cp.subchunks[si];
-        WorkItem like;
-        like.chunk_index = ci;
-        like.sub_index = static_cast<int>(si);
-        std::vector<std::byte> raw = read_old(like, seg, sp);
+        std::vector<std::byte> raw = read_old(ci, static_cast<int>(si), seg);
         RepairTransfer t;
         t.array_index = array_index;
         t.purpose = static_cast<std::uint8_t>(purpose);
         t.seg = seg;
         t.chunk_index = ci;
         t.sub_index = static_cast<int>(si);
-        t.crc = Crc32c({raw.data(), raw.size()});
+        t.payload_crc = Crc32c({raw.data(), raw.size()});
         ep.Send(world.server_rank(cp.server), kTagRejoin,
                 MakeTransferMessage(t, std::move(raw)));
       }
     }
   }
-  writer.Finish();
-  return 0;
+  if (writer.has_value()) writer->Finish();
+  return chunks_back;
 }
 
 }  // namespace
@@ -621,12 +321,10 @@ CollectiveRequest BuildRepairRequest(FileSystem& master_fs,
   // for which arrays have a general stream to repair.
   std::vector<int> general_arrays;
   for (size_t a = 0; a < meta.arrays.size(); ++a) {
-    const std::string flat = DataFileName(meta.group, meta.arrays[a].name,
-                                          Purpose::kGeneral,
-                                          /*server_index=*/0);
-    // A sharded master segment has no flat file; shard 0 marks it.
-    if (master_fs.Exists(flat) ||
-        master_fs.Exists(store::ShardFileName(flat, 0))) {
+    const std::string stream = DataFileName(meta.group, meta.arrays[a].name,
+                                            Purpose::kGeneral,
+                                            /*server_index=*/0);
+    if (master_fs.Exists(store::ShardFileName(stream, 0))) {
       general_arrays.push_back(static_cast<int>(a));
     }
   }
@@ -642,7 +340,6 @@ void RepairCollective(Endpoint& ep, FileSystem& fs, const World& world,
   PANDA_CHECK(req.op == IoOp::kRepair);
   PlanCache local_cache(4);
   if (plan_cache == nullptr) plan_cache = &local_cache;
-  const int sidx = world.server_index(ep.rank());
   const std::vector<int> prev_dead =
       ParseCsvInts(req.attributes, kRepairPrevDeadAttr);
   PANDA_REQUIRE(!prev_dead.empty(), "repair request with no dead set");
@@ -695,17 +392,7 @@ void RepairCollective(Endpoint& ep, FileSystem& fs, const World& world,
   // detects offline.
   Barrier(ep, world.ServerGroup(ep.rank()));
   hb::StampAccess(&fs, "server.fs", /*is_write=*/true);
-  for (const auto& [from, to] : staged) {
-    // An empty `from` is a staged removal: degraded-layout leftovers
-    // (spilled shards, stale flat files) retired at the commit point.
-    options.retry.Run(&ep.clock(), options.robustness, [&] {
-      if (from.empty()) {
-        fs.Remove(to);
-      } else {
-        fs.Rename(from, to);
-      }
-    });
-  }
+  CommitStaged(fs, options.retry, &ep.clock(), options.robustness, staged);
 }
 
 }  // namespace panda

@@ -7,7 +7,8 @@
 // docs/PROTOCOL.md "Rejoin and incarnation fencing"), the master server
 // broadcasts a synthetic IoOp::kRepair collective and all servers run
 // RepairCollective, which migrates the adopted chunks back and rebuilds
-// every data file under the identity layout:
+// every segment stream under the identity layout, through the same
+// store stage collective writes use (SegmentWriter, panda/store_io.h):
 //
 //   * A *rejoinee* (a server the committed metadata records dead) first
 //     replays its stale write-ahead journal as a diagnostic (records
@@ -22,8 +23,8 @@
 //   * An *adopter* (a survivor holding adopted chunks) streams each
 //     adopted sub-chunk to its identity owner over kTagRejoin and
 //     rewrites its own chunks — whose offsets shift when the segment
-//     stride changes back — into a `.repair` staging file, renamed
-//     over the degraded file only after the closing barrier. Survivors
+//     stride changes back — into a `.repair` staging stream, published
+//     over the degraded one only after the closing barrier. Survivors
 //     with no adopted chunks already hold identity-layout files and are
 //     not touched at all.
 //

@@ -37,6 +37,24 @@ struct GroupMeta {
   static GroupMeta Decode(std::span<const std::byte> bytes);
 };
 
+// Calls `visit(array_index, array, purpose, num_segments)` for every
+// stream a group's metadata can promise: each array's general stream,
+// its timestep stream (when timesteps were written) and its checkpoint
+// (when one was taken). Offline verifiers sweep groups with it.
+template <typename Visit>
+void ForEachGroupStream(const GroupMeta& meta, Visit&& visit) {
+  for (size_t a = 0; a < meta.arrays.size(); ++a) {
+    const auto index = static_cast<std::int32_t>(a);
+    visit(index, meta.arrays[a], Purpose::kGeneral, std::int64_t{1});
+    if (meta.timesteps > 0) {
+      visit(index, meta.arrays[a], Purpose::kTimestep, meta.timesteps);
+    }
+    if (meta.has_checkpoint) {
+      visit(index, meta.arrays[a], Purpose::kCheckpoint, std::int64_t{1});
+    }
+  }
+}
+
 // Writes `meta` to `path` on `fs` (overwrites).
 void WriteGroupMeta(FileSystem& fs, const std::string& path,
                     const GroupMeta& meta);

@@ -1,9 +1,21 @@
 #include "panda/sequential.h"
 
 #include "mdarray/strided_copy.h"
+#include "panda/store_io.h"
 #include "util/error.h"
 
 namespace panda {
+namespace {
+
+// The file of one segment: the sequential platform reads and writes the
+// unbounded layout, one shard per segment (store_io.h).
+std::string SegmentFile(const ArrayMeta& meta, Purpose purpose,
+                        std::int64_t seq, const std::string& group, int s) {
+  return store::ShardFileName(DataFileName(group, meta.name, purpose, s),
+                              purpose == Purpose::kTimestep ? seq : 0);
+}
+
+}  // namespace
 
 SequentialPanda::SequentialPanda(std::vector<FileSystem*> server_fs,
                                  Sp2Params params)
@@ -25,21 +37,24 @@ void SequentialPanda::Write(const ArrayMeta& meta,
   const auto elem = static_cast<size_t>(meta.elem_size);
 
   for (int s = 0; s < num_servers(); ++s) {
-    const std::int64_t base =
-        purpose == Purpose::kTimestep ? seq * plan.SegmentBytes(s) : 0;
-    const OpenMode mode = (purpose == Purpose::kTimestep && seq > 0)
-                              ? OpenMode::kReadWrite
-                              : OpenMode::kWrite;
-    auto file = fs_[static_cast<size_t>(s)]->Open(
-        DataFileName(group, meta.name, purpose, s), mode);
+    FileSystem& fs = *fs_[static_cast<size_t>(s)];
+    if (purpose != Purpose::kTimestep || seq == 0) {
+      // A truncating write retires the stream's later segments.
+      for (const std::string& stale :
+           StaleStreamFiles(fs, DataFileName(group, meta.name, purpose, s),
+                            /*keep_shards=*/1, /*keep_journal=*/true)) {
+        fs.Remove(stale);
+      }
+    }
+    auto file = fs.Open(SegmentFile(meta, purpose, seq, group, s),
+                        OpenMode::kWrite);
     std::vector<std::byte> buf;
     for (const int ci : plan.ChunksOfServer(s)) {
       const ChunkPlan& cp = plan.chunks()[static_cast<size_t>(ci)];
       for (const SubchunkPlan& sp : cp.subchunks) {
         buf.resize(static_cast<size_t>(sp.bytes));
         PackRegion({buf.data(), buf.size()}, data, whole, sp.region, elem);
-        file->WriteAt(base + sp.file_offset, {buf.data(), buf.size()},
-                      sp.bytes);
+        file->WriteAt(sp.file_offset, {buf.data(), buf.size()}, sp.bytes);
       }
     }
     file->Sync();
@@ -58,17 +73,14 @@ void SequentialPanda::Read(const ArrayMeta& meta, std::span<std::byte> data,
 
   for (int s = 0; s < num_servers(); ++s) {
     if (plan.ChunksOfServer(s).empty()) continue;
-    const std::int64_t base =
-        purpose == Purpose::kTimestep ? seq * plan.SegmentBytes(s) : 0;
     auto file = fs_[static_cast<size_t>(s)]->Open(
-        DataFileName(group, meta.name, purpose, s), OpenMode::kRead);
+        SegmentFile(meta, purpose, seq, group, s), OpenMode::kRead);
     std::vector<std::byte> buf;
     for (const int ci : plan.ChunksOfServer(s)) {
       const ChunkPlan& cp = plan.chunks()[static_cast<size_t>(ci)];
       for (const SubchunkPlan& sp : cp.subchunks) {
         buf.resize(static_cast<size_t>(sp.bytes));
-        file->ReadAt(base + sp.file_offset, {buf.data(), buf.size()},
-                     sp.bytes);
+        file->ReadAt(sp.file_offset, {buf.data(), buf.size()}, sp.bytes);
         UnpackRegion(data, whole, {buf.data(), buf.size()}, sp.region, elem);
       }
     }
@@ -98,8 +110,6 @@ std::vector<std::byte> SequentialPanda::ReadSubarray(const ArrayMeta& meta,
 
   for (int s = 0; s < num_servers(); ++s) {
     if (plan.ChunksOfServer(s).empty()) continue;
-    const std::int64_t base =
-        purpose == Purpose::kTimestep ? seq * plan.SegmentBytes(s) : 0;
     std::unique_ptr<File> file;  // opened lazily: the slice may miss s
     std::vector<std::byte> buf;
     for (const int ci : plan.ChunksOfServer(s)) {
@@ -108,11 +118,10 @@ std::vector<std::byte> SequentialPanda::ReadSubarray(const ArrayMeta& meta,
         if (!sp.active) continue;
         if (file == nullptr) {
           file = fs_[static_cast<size_t>(s)]->Open(
-              DataFileName(group, meta.name, purpose, s), OpenMode::kRead);
+              SegmentFile(meta, purpose, seq, group, s), OpenMode::kRead);
         }
         buf.resize(static_cast<size_t>(sp.bytes));
-        file->ReadAt(base + sp.file_offset, {buf.data(), buf.size()},
-                     sp.bytes);
+        file->ReadAt(sp.file_offset, {buf.data(), buf.size()}, sp.bytes);
         for (const PiecePlan& piece : sp.pieces) {
           CopyRegion({out.data(), out.size()}, region,
                      {buf.data(), buf.size()}, sp.region, piece.region, elem);

@@ -1,9 +1,9 @@
 #include "panda/server.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,8 +12,6 @@
 #include "mdarray/strided_copy.h"
 #include "msg/hb.h"
 #include "panda/failover.h"
-#include "panda/frame_io.h"
-#include "panda/integrity.h"
 #include "panda/journal.h"
 #include "panda/rejoin.h"
 #include "panda/schema_io.h"
@@ -57,32 +55,14 @@ class DiskWriteScheduler {
   double busy_until_ = 0.0;
 };
 
-OpenMode WriteOpenMode(Purpose purpose, std::int64_t seq, WorkPhase phase) {
-  // A failover recovery phase extends files that already hold this
-  // server's own chunks: never truncate.
+// Mode of the journal a write appends to. A failover recovery phase
+// extends the journal that already holds this server's own records,
+// and a later timestep appends to its stream's journal: never
+// truncate those.
+OpenMode JournalOpenMode(Purpose purpose, std::int64_t seq, WorkPhase phase) {
   if (phase == WorkPhase::kAdoptedOnly) return OpenMode::kReadWrite;
   if (purpose == Purpose::kTimestep && seq > 0) return OpenMode::kReadWrite;
   return OpenMode::kWrite;
-}
-
-std::int64_t BaseOffset(const DegradedLayout& layout, Purpose purpose,
-                        std::int64_t seq, int server_index) {
-  // Timestep output appends one segment per timestep; everything else
-  // starts at the beginning of the file. Segment sizes come from the
-  // layout (== the plan's when no server is dead).
-  if (purpose == Purpose::kTimestep) {
-    return seq * layout.SegmentBytes(server_index);
-  }
-  return 0;
-}
-
-// First sidecar/journal record index of this collective's segment:
-// timestep streams append one block of records per timestep, mirroring
-// the data segments (see panda/integrity.h).
-std::int64_t RecordBase(Purpose purpose, std::int64_t seq,
-                        std::int64_t records_per_segment) {
-  if (purpose == Purpose::kTimestep) return seq * records_per_segment;
-  return 0;
 }
 
 void ValidateHeader(const PieceHeader& h, std::int32_t array_index,
@@ -96,6 +76,132 @@ void ValidateHeader(const PieceHeader& h, std::int32_t array_index,
                 h.region.ToString().c_str());
 }
 
+// Plan stage: where one array's segment of this collective lives on
+// this server.
+struct SegmentPlan {
+  std::vector<WorkItem> work;  // this phase's slice of the work list
+  // The shard map derives from the *full* work list under the committed
+  // layout, whatever slice this phase covers — a recovery phase extends
+  // the same shards the full phase laid out.
+  store::ShardLayout shards;
+  std::int64_t seg = 0;    // timestep segment (0 otherwise)
+  std::string stream;      // DataFileName: the stream shard names extend
+  // Files a complete segment occupies: its shards, or — for an
+  // (array, server) pair with no sub-chunks — one empty shard file, so
+  // non-timestep collectives leave a complete set of per-server files.
+  std::int64_t files = 0;
+};
+
+SegmentPlan PlanSegment(const IoPlan& plan, const DegradedLayout& layout,
+                        int sidx, WorkPhase phase, const CollectiveRequest& req,
+                        const ArrayMeta& meta, std::int64_t shard_bytes) {
+  SegmentPlan out;
+  std::vector<WorkItem> full =
+      BuildServerWork(plan, layout, sidx, WorkPhase::kFull);
+  out.shards = PackWork(plan, full, shard_bytes);
+  out.work = phase == WorkPhase::kFull
+                 ? std::move(full)
+                 : BuildServerWork(plan, layout, sidx, phase);
+  out.seg = req.purpose == Purpose::kTimestep ? req.seq : 0;
+  out.stream = DataFileName(req.group, meta.name, req.purpose, sidx);
+  out.files = out.shards.shards_per_segment();
+  if (out.files == 0 && req.purpose != Purpose::kTimestep) out.files = 1;
+  return out;
+}
+
+// Server-directed: request every piece of sub-chunk `item`.
+void RequestPieces(Endpoint& ep, const World& world, const IoPlan& plan,
+                   std::int32_t array_index, const WorkItem& item) {
+  const SubchunkPlan& sp = plan.chunks()[static_cast<size_t>(item.chunk_index)]
+                               .subchunks[static_cast<size_t>(item.sub_index)];
+  for (size_t pi = 0; pi < sp.pieces.size(); ++pi) {
+    Message request;
+    Encoder enc(request.header);
+    PieceHeader{array_index, item.chunk_index, item.sub_index,
+                static_cast<std::int32_t>(pi), sp.pieces[pi].region}
+        .EncodeTo(enc);
+    ep.Send(world.client_rank(sp.pieces[pi].client), kTagPieceRequest,
+            std::move(request));
+  }
+}
+
+// Pull stage: gathers sub-chunk `item`'s pieces into `buf` in
+// traditional array order (left untouched in timing mode). Each piece's
+// wire frame is decoded and its end-to-end CRC checked first. The pull
+// span covers the whole gather (per-piece assembly spans nest inside).
+void PullSubchunk(Endpoint& ep, const World& world, const Sp2Params& params,
+                  const ArrayMeta& meta, std::int32_t array_index,
+                  const WorkItem& item, const SubchunkPlan& sp,
+                  RobustnessStats* stats, std::vector<std::byte>& buf) {
+  const bool timing = ep.timing_only();
+  const bool framing = meta.codec != CodecId::kNone && !timing;
+  const double pull_begin = ep.clock().Now();
+  if (!timing) buf.assign(static_cast<size_t>(sp.bytes), std::byte{0});
+  for (size_t pi = 0; pi < sp.pieces.size(); ++pi) {
+    const PiecePlan& piece = sp.pieces[pi];
+    Message data = ep.Recv(world.client_rank(piece.client), kTagPieceData);
+    Decoder dec(data.header);
+    ValidateHeader(PieceHeader::Decode(dec), array_index,
+                   {item.chunk_index, item.sub_index, static_cast<int>(pi)},
+                   piece.region);
+    // End-to-end wire checksum: the client stamped the payload's CRC32C
+    // after the echoed piece header (0 in timing-only mode).
+    const std::uint32_t wire_crc = dec.Get<std::uint32_t>();
+    if (!piece.contiguous_in_subchunk) {
+      PANDA_SPAN(asm_span, trace::SpanKind::kServerAssemble, piece.bytes);
+      ep.AdvanceCompute(static_cast<double>(piece.bytes) / params.memcpy_Bps);
+    }
+    if (timing) {
+      PANDA_REQUIRE(data.payload_vbytes == piece.bytes,
+                    "piece virtual size mismatch");
+      continue;
+    }
+    std::span<const std::byte> raw{data.payload.data(), data.payload.size()};
+    std::vector<std::byte> decoded;
+    if (framing) {
+      // The client framed the piece; decode before the end-to-end
+      // checksum — the CRC covers the *uncompressed* bytes, so a codec
+      // bug is caught exactly like wire corruption.
+      const double dec_begin = ep.clock().Now();
+      CodecId used = CodecId::kNone;
+      try {
+        decoded = DecodeWireFrame(raw, piece.bytes, meta.elem_size, &used);
+      } catch (const PandaError& e) {
+        if (stats != nullptr) stats->wire_checksum_failures.fetch_add(1);
+        PANDA_REQUIRE(false,
+                      "piece payload from client %d is not a valid codec "
+                      "frame: %s",
+                      piece.client, e.what());
+      }
+      if (used != CodecId::kNone) {
+        ep.AdvanceCompute(static_cast<double>(piece.bytes) /
+                          params.codec_decode_Bps);
+      }
+      trace::RecordSpan(trace::SpanKind::kCodecDecode, dec_begin,
+                        ep.clock().Now(), piece.bytes);
+      raw = {decoded.data(), decoded.size()};
+    } else {
+      PANDA_REQUIRE(
+          static_cast<std::int64_t>(data.payload.size()) == piece.bytes,
+          "piece payload size mismatch");
+    }
+    const std::uint32_t got = Crc32c(raw);
+    if (got != wire_crc) {
+      if (stats != nullptr) stats->wire_checksum_failures.fetch_add(1);
+      PANDA_REQUIRE(false,
+                    "piece payload from client %d failed its end-to-end "
+                    "checksum (wire %08x != computed %08x)",
+                    piece.client, wire_crc, got);
+    }
+    UnpackRegion({buf.data(), buf.size()}, sp.region, raw, piece.region,
+                 static_cast<size_t>(meta.elem_size));
+  }
+  trace::RecordSpan(trace::SpanKind::kServerPull, pull_begin, ep.clock().Now(),
+                    sp.bytes);
+  trace::ObserveMetric(trace::MetricId::kSubchunkBytes,
+                       static_cast<double>(sp.bytes));
+}
+
 void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
                       const Sp2Params& params, const CollectiveRequest& req,
                       std::int32_t array_index, const IoPlan& plan,
@@ -106,148 +212,56 @@ void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
   const int sidx = world.server_index(ep.rank());
   const ArrayMeta& meta = req.arrays[static_cast<size_t>(array_index)];
   const bool timing = ep.timing_only();
-  const std::int64_t base = BaseOffset(layout, req.purpose, req.seq, sidx);
   const RetryPolicy& retry = options.retry;
   RobustnessStats* stats = options.robustness;
   // Each i/o node owns its local file system exclusively; any second
   // rank touching it is a protocol bug. The stamp is a no-op unless
   // built with -DPANDA_HB=ON (see msg/hb.h).
   hb::StampAccess(&fs, "server.fs", /*is_write=*/true);
-  // Sidecar checksums and the journal need real bytes; timing-only
-  // sweeps skip them.
-  const bool sidecars = options.disk_checksums && !timing;
+  // The journal needs real bytes; timing-only sweeps skip it.
   const bool journaling = options.journal && !timing;
-  // The negotiated codec frames sub-chunks on disk and pieces on the
-  // wire. Timing-only sweeps skip it (framing needs real bytes), and
-  // codec=none collectives take exactly the pre-codec code paths — the
-  // bit-identity the tests assert.
-  const CodecId codec = meta.codec;
-  const bool framing = codec != CodecId::kNone && !timing;
 
-  const std::vector<WorkItem> work = BuildServerWork(plan, layout, sidx, phase);
-  const std::int64_t records_per_segment =
-      RecordsPerSegment(plan, layout, sidx);
-  const std::int64_t record_base =
-      RecordBase(req.purpose, req.seq, records_per_segment);
-  // Sharded store (src/store/): the segment's shard map derives from
-  // the *full* work list under the committed layout, whatever slice
-  // this phase writes — a recovery phase extends the same shards the
-  // full phase laid out.
-  const bool sharded = options.shard_bytes > 0;
-  store::ShardLayout shard_layout;
-  if (sharded) {
-    shard_layout = BuildShardLayout(plan, layout, sidx, options.shard_bytes);
-  }
-  const std::int64_t seg = req.purpose == Purpose::kTimestep ? req.seq : 0;
-
-  // Checkpoints are published atomically: written to a temporary file
-  // and renamed over the previous checkpoint only after every server
-  // has finished its data and fsync (two-phase commit, see
+  const SegmentPlan seg = PlanSegment(plan, layout, sidx, phase, req, meta,
+                                      options.shard_bytes);
+  const std::vector<WorkItem>& work = seg.work;
+  // Checkpoints are published atomically: written under a temporary
+  // stream name and renamed over the previous checkpoint only after
+  // every server has finished its data and fsync (two-phase commit, see
   // ServerExecute), so a crash mid-checkpoint can never leave a mix of
-  // old and new checkpoint files. The sidecar and journal travel with
-  // their data file through the same staged rename — and so does every
-  // shard file; leftovers of the *other* layout form (a flat file under
-  // a sharded run, or vice versa) are staged as removals (empty `from`)
-  // so the previous checkpoint stays whole until the commit barrier.
-  // A recovery phase reuses the staging set up by the full phase.
-  const std::string final_name =
-      DataFileName(req.group, meta.name, req.purpose, sidx);
-  const std::string write_name =
-      req.purpose == Purpose::kCheckpoint ? final_name + ".tmp" : final_name;
-  if (req.purpose == Purpose::kCheckpoint && phase == WorkPhase::kFull) {
-    if (sharded && !work.empty()) {
-      const std::int64_t n = shard_layout.shards_per_segment();
-      for (std::int64_t id = 0; id < n; ++id) {
-        pending_renames.emplace_back(store::ShardFileName(write_name, id),
-                                     store::ShardFileName(final_name, id));
-      }
-      for (std::int64_t id = n;
-           fs.Exists(store::ShardFileName(final_name, id)); ++id) {
-        pending_renames.emplace_back(std::string(),
-                                     store::ShardFileName(final_name, id));
-      }
-      if (fs.Exists(final_name)) {
-        pending_renames.emplace_back(std::string(), final_name);
-      }
-    } else {
-      pending_renames.emplace_back(write_name, final_name);
-      for (std::int64_t id = 0;
-           fs.Exists(store::ShardFileName(final_name, id)); ++id) {
-        pending_renames.emplace_back(std::string(),
-                                     store::ShardFileName(final_name, id));
-      }
-    }
-    if (sidecars) {
-      pending_renames.emplace_back(SidecarFileName(write_name),
-                                   SidecarFileName(final_name));
-    }
-    if (journaling) {
-      pending_renames.emplace_back(JournalFileName(write_name),
-                                   JournalFileName(final_name));
-    }
-    if (framing && !sharded) {
-      pending_renames.emplace_back(FrameDirFileName(write_name),
-                                   FrameDirFileName(final_name));
-    }
-  }
-
-  // With checksums/journaling/framing off, drop any stale sidecar,
-  // journal or frame directory left by an earlier run: fresh data under
-  // old records would read back as corruption. Likewise drop leftovers
-  // of the other layout form at the *write* name (checkpoint finals are
-  // handled by the staged removals above): a sharded run keeps no flat
-  // file or frame directory, a flat run keeps no shards.
-  if (!timing && phase == WorkPhase::kFull) {
-    retry.Run(&ep.clock(), stats, [&] {
-      if (!sidecars) {
-        fs.Remove(SidecarFileName(write_name));
-        if (write_name != final_name) fs.Remove(SidecarFileName(final_name));
-      }
-      if (!journaling) {
-        fs.Remove(JournalFileName(write_name));
-        if (write_name != final_name) fs.Remove(JournalFileName(final_name));
-      }
-      if (!framing || sharded) {
-        fs.Remove(FrameDirFileName(write_name));
-        if (write_name != final_name) fs.Remove(FrameDirFileName(final_name));
-      }
-      if (sharded && !work.empty()) {
-        fs.Remove(write_name);  // stale flat data file
-        if (write_name == final_name &&
-            WriteOpenMode(req.purpose, req.seq, phase) == OpenMode::kWrite) {
-          // Truncating fresh start: shards beyond the new count are
-          // stale (an earlier run with a smaller shard size).
-          for (std::int64_t id = shard_layout.shards_per_segment();
-               fs.Exists(store::ShardFileName(write_name, id)); ++id) {
-            fs.Remove(store::ShardFileName(write_name, id));
-          }
-        }
-      }
-      if (!sharded && !work.empty() && write_name == final_name) {
-        for (std::int64_t id = 0;
-             fs.Exists(store::ShardFileName(write_name, id)); ++id) {
-          fs.Remove(store::ShardFileName(write_name, id));
-        }
-      }
-    });
-  }
-
-  if (work.empty()) {
-    if (phase == WorkPhase::kFull && req.purpose != Purpose::kTimestep) {
-      // Still create the (empty) file so concatenation scripts see a
-      // complete set of per-server files. A checkpoint staged its
-      // sidecar/journal/frame-directory renames above, so those sources
-      // must exist too — empty: nothing to checksum, nothing to replay,
-      // and the verifiers skip empty segments. An i/o node can own no
-      // chunks legitimately (disk layout narrower than the server set).
+  // old and new checkpoint files. The journal travels with its shards
+  // through the same staged rename; files of the previous checkpoint
+  // the new one does not replace are staged as removals. A recovery
+  // phase reuses the staging set up by the full phase.
+  const std::string write_name = req.purpose == Purpose::kCheckpoint
+                                     ? seg.stream + ".tmp"
+                                     : seg.stream;
+  if (phase == WorkPhase::kFull) {
+    if (!timing) {
+      // Drop what this write supersedes: a truncating write (anything
+      // but a later timestep) retires every later segment of its
+      // stream, and with journaling off a stale journal goes too —
+      // fresh data under old records would read back as corruption.
+      const bool truncating =
+          req.purpose != Purpose::kTimestep || req.seq == 0;
       retry.Run(&ep.clock(), stats, [&] {
-        const OpenMode mode = WriteOpenMode(req.purpose, req.seq, phase);
-        fs.Open(write_name, mode);
-        if (req.purpose == Purpose::kCheckpoint) {
-          if (sidecars) fs.Open(SidecarFileName(write_name), mode);
-          if (journaling) fs.Open(JournalFileName(write_name), mode);
-          if (framing) fs.Open(FrameDirFileName(write_name), mode);
+        for (const std::string& name : StaleStreamFiles(
+                 fs, write_name, truncating ? seg.files : INT64_MAX,
+                 journaling)) {
+          fs.Remove(name);
         }
+      });
+    }
+    if (req.purpose == Purpose::kCheckpoint) {
+      StageStreamPublication(fs, write_name, seg.stream, seg.files,
+                             journaling && !work.empty(), pending_renames);
+    }
+  }
+  if (work.empty()) {
+    // An i/o node can own no chunks legitimately (disk layout narrower
+    // than the server set); it still leaves its (empty) file.
+    if (phase == WorkPhase::kFull && seg.files > 0) {
+      retry.Run(&ep.clock(), stats, [&] {
+        fs.Open(store::ShardFileName(write_name, 0), OpenMode::kWrite);
       });
     }
     return;
@@ -257,85 +271,21 @@ void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
         layout.adopted[static_cast<size_t>(sidx)].size()));
   }
 
-  // Sharded runs open no flat file: the writer owns the shard handles
-  // (bounded by the pool) and its Put/Finish run under the same retry
-  // policy the flat path uses.
-  std::unique_ptr<File> file;
-  std::optional<store::ShardWriter> shard_writer;
-  if (sharded) {
-    store::StoreOptions sopt;
-    sopt.shard_bytes = options.shard_bytes;
-    sopt.backend = options.backend;
-    sopt.handle_pool_capacity = options.handle_pool_capacity;
-    sopt.timing = timing;
-    shard_writer.emplace(&fs, write_name, &shard_layout, sopt,
-                         WriteOpenMode(req.purpose, req.seq, phase), retry,
-                         &ep.clock(), stats);
-  } else {
-    retry.Run(&ep.clock(), stats, [&] {
-      file = fs.Open(write_name, WriteOpenMode(req.purpose, req.seq, phase));
-    });
-  }
-  std::unique_ptr<File> sidecar;
-  if (sidecars) {
-    retry.Run(&ep.clock(), stats, [&] {
-      sidecar = fs.Open(SidecarFileName(write_name),
-                        WriteOpenMode(req.purpose, req.seq, phase));
-    });
-  }
-  std::unique_ptr<File> journal;
-  std::optional<JournalHeader> journal_header;
-  if (journaling) {
-    const OpenMode jmode = WriteOpenMode(req.purpose, req.seq, phase);
-    retry.Run(&ep.clock(), stats,
-              [&] { journal = fs.Open(JournalFileName(write_name), jmode); });
-    if (jmode == OpenMode::kReadWrite) {
-      // A journal compacted after a checkpoint — or rebuilt by a rejoin
-      // repair — carries a header whose base offsets the record slots;
-      // honor it. Freshly truncated journals are headerless.
-      retry.Run(&ep.clock(), stats,
-                [&] { journal_header = ReadJournalHeader(*journal); });
-    }
-  }
-  // No frame directory under sharding: the shard table carries the
-  // codec/framing of every slot itself.
-  std::unique_ptr<File> frame_dir;
-  if (framing && !sharded) {
-    retry.Run(&ep.clock(), stats, [&] {
-      frame_dir = fs.Open(FrameDirFileName(write_name),
-                          WriteOpenMode(req.purpose, req.seq, phase));
-    });
-  }
-
-  // Server-directed: request every piece of sub-chunk `k`.
-  auto send_requests = [&](size_t k) {
-    const WorkItem& item = work[k];
-    const SubchunkPlan& sp = plan.chunks()[static_cast<size_t>(item.chunk_index)]
-                                 .subchunks[static_cast<size_t>(item.sub_index)];
-    for (size_t pi = 0; pi < sp.pieces.size(); ++pi) {
-      Message request;
-      Encoder enc(request.header);
-      PieceHeader{array_index, item.chunk_index, item.sub_index,
-                  static_cast<std::int32_t>(pi), sp.pieces[pi].region}
-          .EncodeTo(enc);
-      ep.Send(world.client_rank(sp.pieces[pi].client), kTagPieceRequest,
-              std::move(request));
-    }
-  };
+  // Store stage: a full phase rewrites its segment's shards from
+  // scratch; a recovery phase extends them.
+  SegmentWriter store(fs, &ep.clock(), options, meta, timing, write_name,
+                      &seg.shards,
+                      phase == WorkPhase::kFull ? OpenMode::kWrite
+                                                : OpenMode::kReadWrite,
+                      JournalOpenMode(req.purpose, req.seq, phase));
 
   // With request pipelining, sub-chunk k+1's requests go out before
   // sub-chunk k's data is consumed, so the clients' packing and the
   // request round trip overlap the current gather and disk write.
-  if (options.pipeline_requests && !work.empty()) send_requests(0);
-
-  // Frame-directory records are buffered here and flushed as runs of
-  // contiguous indices in ONE positioned write each after the data
-  // loop: on overhead-dominated disks a 32-byte append per sub-chunk
-  // would cost more than the codec saves. A crash before the flush
-  // only loses records — readers probe the slots' self-describing
-  // headers instead (frame.h).
-  std::vector<std::pair<std::int64_t, FrameDirRecord>> frame_recs;
-
+  if (options.pipeline_requests) {
+    RequestPieces(ep, world, plan, array_index, work[0]);
+  }
+  const bool framing = meta.codec != CodecId::kNone && !timing;
   std::vector<std::byte> buf;
   for (size_t k = 0; k < work.size(); ++k) {
     const WorkItem& item = work[k];
@@ -343,80 +293,11 @@ void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
     const SubchunkPlan& sp =
         cp.subchunks[static_cast<size_t>(item.sub_index)];
     if (!options.pipeline_requests) {
-      send_requests(k);
+      RequestPieces(ep, world, plan, array_index, item);
     } else if (k + 1 < work.size()) {
-      send_requests(k + 1);
+      RequestPieces(ep, world, plan, array_index, work[k + 1]);
     }
-    // Assemble the sub-chunk in traditional array order. The pull span
-    // covers the whole gather of this sub-chunk's pieces (per-piece
-    // assembly spans nest inside it).
-    const double pull_begin = ep.clock().Now();
-    if (!timing) buf.assign(static_cast<size_t>(sp.bytes), std::byte{0});
-    for (size_t pi = 0; pi < sp.pieces.size(); ++pi) {
-      const PiecePlan& piece = sp.pieces[pi];
-      Message data = ep.Recv(world.client_rank(piece.client), kTagPieceData);
-      Decoder dec(data.header);
-      ValidateHeader(PieceHeader::Decode(dec), array_index,
-                     {item.chunk_index, item.sub_index, static_cast<int>(pi)},
-                     piece.region);
-      // End-to-end wire checksum: the client stamped the payload's
-      // CRC32C after the echoed piece header (0 in timing-only mode).
-      const std::uint32_t wire_crc = dec.Get<std::uint32_t>();
-      if (!piece.contiguous_in_subchunk) {
-        PANDA_SPAN(asm_span, trace::SpanKind::kServerAssemble, piece.bytes);
-        ep.AdvanceCompute(static_cast<double>(piece.bytes) /
-                          params.memcpy_Bps);
-      }
-      if (!timing) {
-        std::span<const std::byte> raw{data.payload.data(),
-                                       data.payload.size()};
-        std::vector<std::byte> decoded;
-        if (framing) {
-          // The client framed the piece; decode before the end-to-end
-          // checksum — the CRC covers the *uncompressed* bytes, so a
-          // codec bug is caught exactly like wire corruption.
-          const double dec_begin = ep.clock().Now();
-          CodecId used = CodecId::kNone;
-          try {
-            decoded = DecodeWireFrame(raw, piece.bytes, meta.elem_size, &used);
-          } catch (const PandaError& e) {
-            if (stats != nullptr) stats->wire_checksum_failures.fetch_add(1);
-            PANDA_REQUIRE(false,
-                          "piece payload from client %d is not a valid codec "
-                          "frame: %s",
-                          piece.client, e.what());
-          }
-          if (used != CodecId::kNone) {
-            ep.AdvanceCompute(static_cast<double>(piece.bytes) /
-                              params.codec_decode_Bps);
-          }
-          trace::RecordSpan(trace::SpanKind::kCodecDecode, dec_begin,
-                            ep.clock().Now(), piece.bytes);
-          raw = {decoded.data(), decoded.size()};
-        } else {
-          PANDA_REQUIRE(
-              static_cast<std::int64_t>(data.payload.size()) == piece.bytes,
-              "piece payload size mismatch");
-        }
-        const std::uint32_t got = Crc32c(raw);
-        if (got != wire_crc) {
-          if (stats != nullptr) stats->wire_checksum_failures.fetch_add(1);
-          PANDA_REQUIRE(false,
-                        "piece payload from client %d failed its end-to-end "
-                        "checksum (wire %08x != computed %08x)",
-                        piece.client, wire_crc, got);
-        }
-        UnpackRegion({buf.data(), buf.size()}, sp.region, raw, piece.region,
-                     static_cast<size_t>(meta.elem_size));
-      } else {
-        PANDA_REQUIRE(data.payload_vbytes == piece.bytes,
-                      "piece virtual size mismatch");
-      }
-    }
-    trace::RecordSpan(trace::SpanKind::kServerPull, pull_begin,
-                      ep.clock().Now(), sp.bytes);
-    trace::ObserveMetric(trace::MetricId::kSubchunkBytes,
-                         static_cast<double>(sp.bytes));
+    PullSubchunk(ep, world, params, meta, array_index, item, sp, stats, buf);
     // Frame the assembled sub-chunk for disk. Encoding is CPU work on
     // the server (charged to its clock before the device is touched);
     // the stored-raw fallback writes exactly the bytes codec=none
@@ -426,8 +307,7 @@ void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
       const double enc_begin = ep.clock().Now();
       {
         PANDA_SPAN(enc_span, trace::SpanKind::kCodecEncode, sp.bytes);
-        frame = EncodeSubchunkFrame(codec, {buf.data(), buf.size()},
-                                    meta.elem_size);
+        frame = store.Encode({buf.data(), buf.size()});
         ep.AdvanceCompute(static_cast<double>(sp.bytes) /
                           params.codec_encode_Bps);
       }
@@ -439,121 +319,22 @@ void ServerWriteArray(Endpoint& ep, FileSystem& fs, const World& world,
                              static_cast<double>(sp.bytes)
                        : 1.0);
     }
+    const bool chunk_done = k + 1 == work.size() ||
+                            work[k + 1].chunk_index != item.chunk_index;
     // The write span shows the *caller-visible* delay (near zero in
     // overlap mode); the disk.op_seconds histogram, observed inside the
     // scheduler's charge window, records true device time either way.
     PANDA_SPAN(write_span, trace::SpanKind::kServerWrite, sp.bytes);
     disk.Write([&] {
       const double dev_begin = ep.clock().Now();
-      if (sharded) {
-        // The writer retries internally; object-store shards buffer
-        // here and hit the device at Finish.
-        if (framing && frame.codec != CodecId::kNone) {
-          shard_writer->Put(seg, item.record_ordinal, array_index,
-                            cp.chunk_id, item.sub_index, frame.codec,
-                            {frame.bytes.data(), frame.bytes.size()},
-                            static_cast<std::int64_t>(frame.bytes.size()));
-        } else {
-          shard_writer->Put(seg, item.record_ordinal, array_index,
-                            cp.chunk_id, item.sub_index, CodecId::kNone,
-                            {buf.data(), buf.size()}, sp.bytes);
-        }
-      } else {
-        // Positioned writes are idempotent, so a retry after a torn
-        // write rewrites the full range and heals the tear.
-        retry.Run(&ep.clock(), stats, [&] {
-          if (framing && frame.codec != CodecId::kNone) {
-            file->WriteAt(base + item.file_offset,
-                          {frame.bytes.data(), frame.bytes.size()},
-                          static_cast<std::int64_t>(frame.bytes.size()));
-          } else {
-            file->WriteAt(base + item.file_offset, {buf.data(), buf.size()},
-                          sp.bytes);
-          }
-        });
-      }
+      store.Put(seg.seg, item, array_index, cp.chunk_id,
+                {buf.data(), buf.size()}, frame, chunk_done);
       trace::ObserveMetric(trace::MetricId::kDiskOpSeconds,
                            ep.clock().Now() - dev_begin);
-      if (frame_dir != nullptr) {
-        frame_recs.emplace_back(
-            record_base + item.record_ordinal,
-            FrameDirRecord{base + item.file_offset, sp.bytes,
-                           frame.frame_bytes(sp.bytes), frame.codec});
-      }
-      if (sidecar != nullptr) {
-        const CrcRecord rec{base + item.file_offset, sp.bytes,
-                            Crc32c({buf.data(), buf.size()})};
-        retry.Run(&ep.clock(), stats, [&] {
-          WriteCrcRecord(*sidecar, record_base + item.record_ordinal, rec);
-        });
-      }
-      if (journal != nullptr) {
-        // Write-ahead commit record: appended after the sub-chunk's data
-        // write, fsynced when the chunk completes. After a crash the
-        // journal names exactly the durable chunks (panda/journal.h).
-        JournalRecord rec;
-        rec.array_index = array_index;
-        rec.chunk_id = cp.chunk_id;
-        rec.sub_index = item.sub_index;
-        rec.seq = req.purpose == Purpose::kTimestep ? req.seq : 0;
-        rec.file_offset = base + item.file_offset;
-        rec.bytes = sp.bytes;
-        rec.data_crc = Crc32c({buf.data(), buf.size()});
-        {
-          PANDA_SPAN(journal_span, trace::SpanKind::kJournalAppend, sp.bytes);
-          retry.Run(&ep.clock(), stats, [&] {
-            WriteJournalRecord(*journal, journal_header,
-                               record_base + item.record_ordinal, rec);
-          });
-        }
-        if (stats != nullptr) stats->journal_records_written.fetch_add(1);
-        const bool chunk_done =
-            k + 1 == work.size() ||
-            work[k + 1].chunk_index != item.chunk_index;
-        if (chunk_done) {
-          retry.Run(&ep.clock(), stats, [&] { journal->Sync(); });
-        }
-      }
     });
   }
   disk.Drain();
-  // The paper flushes every collective write with fsync.
-  if (sharded) {
-    // Flush shard tables (posix) or whole objects (object store) and
-    // make every touched shard durable.
-    shard_writer->Finish();
-  } else {
-    retry.Run(&ep.clock(), stats, [&] { file->Sync(); });
-  }
-  if (sidecar != nullptr) {
-    retry.Run(&ep.clock(), stats, [&] { sidecar->Sync(); });
-  }
-  if (journal != nullptr) {
-    retry.Run(&ep.clock(), stats, [&] { journal->Sync(); });
-  }
-  if (frame_dir != nullptr) {
-    // Flush the buffered directory: coalesce contiguous index runs
-    // (normally the whole work list is one run) and write each with a
-    // single positioned request.
-    std::sort(frame_recs.begin(), frame_recs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    size_t i = 0;
-    while (i < frame_recs.size()) {
-      size_t j = i + 1;
-      std::vector<FrameDirRecord> run{frame_recs[i].second};
-      while (j < frame_recs.size() &&
-             frame_recs[j].first == frame_recs[i].first +
-                                        static_cast<std::int64_t>(j - i)) {
-        run.push_back(frame_recs[j].second);
-        ++j;
-      }
-      retry.Run(&ep.clock(), stats, [&] {
-        WriteFrameDirRecords(*frame_dir, frame_recs[i].first, run);
-      });
-      i = j;
-    }
-    retry.Run(&ep.clock(), stats, [&] { frame_dir->Sync(); });
-  }
+  store.Finish();
 }
 
 void ServerReadArray(Endpoint& ep, FileSystem& fs, const World& world,
@@ -563,158 +344,57 @@ void ServerReadArray(Endpoint& ep, FileSystem& fs, const World& world,
   const int sidx = world.server_index(ep.rank());
   const ArrayMeta& meta = req.arrays[static_cast<size_t>(array_index)];
   const bool timing = ep.timing_only();
-  const std::int64_t base = BaseOffset(layout, req.purpose, req.seq, sidx);
-  const RetryPolicy& retry = options.retry;
   RobustnessStats* stats = options.robustness;
   // Reading still mutates FS statistics and file cursors: model it as a
   // write for exclusivity purposes (no-op unless -DPANDA_HB=ON).
   hb::StampAccess(&fs, "server.fs", /*is_write=*/true);
 
-  const std::vector<WorkItem> work =
-      BuildServerWork(plan, layout, sidx, WorkPhase::kFull);
-  if (work.empty()) return;
-
-  const std::string data_name =
-      DataFileName(req.group, meta.name, req.purpose, sidx);
-  // Sharded reads go through a ShardReader (no flat file exists); the
-  // shard map re-derives from the plan exactly as the writer's did.
-  const bool sharded = options.shard_bytes > 0;
-  store::ShardLayout shard_layout;
-  std::optional<store::ShardReader> shard_reader;
-  const std::int64_t seg = req.purpose == Purpose::kTimestep ? req.seq : 0;
-  std::unique_ptr<File> file;
-  if (sharded) {
-    shard_layout = BuildShardLayout(plan, layout, sidx, options.shard_bytes);
-    store::StoreOptions sopt;
-    sopt.shard_bytes = options.shard_bytes;
-    sopt.backend = options.backend;
-    sopt.handle_pool_capacity = options.handle_pool_capacity;
-    sopt.timing = timing;
-    shard_reader.emplace(&fs, data_name, &shard_layout, sopt, retry,
-                         &ep.clock(), stats);
-  } else {
-    retry.Run(&ep.clock(), stats,
-              [&] { file = fs.Open(data_name, OpenMode::kRead); });
-  }
-
-  // Verify sub-chunks against the sidecar when asked to and one exists;
-  // legacy data (no sidecar) reads back unverified, not failed.
-  std::unique_ptr<File> sidecar;
-  if (options.disk_checksums && !timing &&
-      fs.Exists(SidecarFileName(data_name))) {
-    retry.Run(&ep.clock(), stats, [&] {
-      sidecar = fs.Open(SidecarFileName(data_name), OpenMode::kRead);
-    });
-  }
-
-  // Frame-directory-directed reads when the array negotiated a codec.
-  // A missing directory (legacy data, or one lost to a crash) is fine:
-  // every slot's self-describing header is probed instead.
-  const CodecId codec = meta.codec;
-  const bool framing = codec != CodecId::kNone && !timing;
-  std::unique_ptr<File> frame_dir;
-  if (framing && !sharded && fs.Exists(FrameDirFileName(data_name))) {
-    retry.Run(&ep.clock(), stats, [&] {
-      frame_dir = fs.Open(FrameDirFileName(data_name), OpenMode::kRead);
-    });
-  }
-
-  const std::int64_t record_base = RecordBase(
-      req.purpose, req.seq, RecordsPerSegment(plan, layout, sidx));
+  const SegmentPlan seg = PlanSegment(plan, layout, sidx, WorkPhase::kFull,
+                                      req, meta, options.shard_bytes);
+  if (seg.work.empty()) return;
+  // The shard map re-derives from the plan exactly as the writer's did;
+  // the reader verifies sub-chunks whose table record carries a CRC
+  // when asked to, and probes slots whose record is torn.
+  store::ShardReader reader(&fs, seg.stream, &seg.shards,
+                            StoreOptionsFor(options, meta, timing),
+                            options.retry, &ep.clock(), stats);
 
   std::vector<std::byte> buf;
-  for (size_t k = 0; k < work.size(); ++k) {
-    const WorkItem& item = work[k];
+  for (const WorkItem& item : seg.work) {
     const int ci = item.chunk_index;
     const int si = item.sub_index;
     const SubchunkPlan& sp =
         plan.chunks()[static_cast<size_t>(ci)].subchunks[static_cast<size_t>(si)];
     // Sub-chunks fully outside a subarray clip: no disk access at all.
     if (!sp.active) continue;
-    // Sequential read of the sub-chunk...
-    if (!timing) buf.assign(static_cast<size_t>(sp.bytes), std::byte{0});
-    auto read_subchunk = [&] {
-      PANDA_SPAN(read_span, trace::SpanKind::kServerRead, sp.bytes);
-      const double dev_begin = ep.clock().Now();
-      if (sharded) {
-        // Table-directed shard read; torn tables heal through the
-        // slots' self-describing frame headers inside the reader.
-        store::ShardRead got =
-            shard_reader->Get(seg, item.record_ordinal, meta.elem_size);
-        trace::ObserveMetric(trace::MetricId::kDiskOpSeconds,
-                             ep.clock().Now() - dev_begin);
-        if (got.codec != CodecId::kNone) {
-          PANDA_SPAN(dec_span, trace::SpanKind::kCodecDecode, sp.bytes);
-          ep.AdvanceCompute(static_cast<double>(sp.bytes) /
-                            params.codec_decode_Bps);
-        }
-        if (!timing) buf = std::move(got.raw);
-        return;
-      }
-      if (framing) {
-        // Directory-directed framed read (probe fallback inside). Device
-        // time ends when the bytes are off the disk; the decode below is
-        // CPU work charged to the codec pipeline.
-        FramedSubchunkRead got = ReadFramedSubchunk(
-            *file, frame_dir.get(), record_base + item.record_ordinal,
-            base + item.file_offset, sp.bytes, meta.elem_size, retry,
-            &ep.clock(), stats);
-        trace::ObserveMetric(trace::MetricId::kDiskOpSeconds,
-                             ep.clock().Now() - dev_begin);
-        if (got.codec != CodecId::kNone) {
-          PANDA_SPAN(dec_span, trace::SpanKind::kCodecDecode, sp.bytes);
-          ep.AdvanceCompute(static_cast<double>(sp.bytes) /
-                            params.codec_decode_Bps);
-        }
-        buf = std::move(got.raw);
-        return;
-      }
-      retry.Run(&ep.clock(), stats, [&] {
-        file->ReadAt(base + item.file_offset, {buf.data(), buf.size()},
-                     sp.bytes);
-      });
-      trace::ObserveMetric(trace::MetricId::kDiskOpSeconds,
-                           ep.clock().Now() - dev_begin);
-    };
     trace::ObserveMetric(trace::MetricId::kSubchunkBytes,
                          static_cast<double>(sp.bytes));
-    read_subchunk();
-    if (sidecar != nullptr) {
-      const std::int64_t rec_index = record_base + item.record_ordinal;
-      CrcRecord rec;
-      auto read_record = [&] {
-        retry.Run(&ep.clock(), stats,
-                  [&] { rec = ReadCrcRecord(*sidecar, rec_index); });
-      };
-      auto verified = [&] {
-        return rec.file_offset == base + item.file_offset &&
-               rec.bytes == sp.bytes &&
-               rec.crc == Crc32c({buf.data(), buf.size()});
-      };
-      read_record();
-      if (!verified()) {
-        // A silently corrupted *read* — of the data or of the sidecar
-        // record itself (flaky controller) — heals on one re-read of
-        // both; persistent disagreement means the bytes on disk are
-        // wrong (or the schemas diverged) and aborts the collective.
-        if (stats != nullptr) stats->disk_checksum_rereads.fetch_add(1);
-        read_record();
-        read_subchunk();
-        if (!verified()) {
-          if (stats != nullptr) stats->disk_checksum_failures.fetch_add(1);
-          PANDA_REQUIRE(false,
-                        "sub-chunk failed its on-disk checksum after a "
-                        "re-read (%s record %lld: record says offset "
-                        "%lld/%lld bytes crc %08x, plan says offset "
-                        "%lld/%lld bytes, computed crc %08x)",
-                        data_name.c_str(), static_cast<long long>(rec_index),
-                        static_cast<long long>(rec.file_offset),
-                        static_cast<long long>(rec.bytes), rec.crc,
-                        static_cast<long long>(base + item.file_offset),
-                        static_cast<long long>(sp.bytes),
-                        Crc32c({buf.data(), buf.size()}));
-        }
+    // Sequential read of the sub-chunk...
+    {
+      PANDA_SPAN(read_span, trace::SpanKind::kServerRead, sp.bytes);
+      const double dev_begin = ep.clock().Now();
+      store::ShardRead got = reader.Get(seg.seg, item.record_ordinal,
+                                        meta.elem_size, std::move(buf));
+      // Device time ends when the bytes are off the disk; the decode
+      // below is CPU work charged to the codec pipeline.
+      trace::ObserveMetric(trace::MetricId::kDiskOpSeconds,
+                           ep.clock().Now() - dev_begin);
+      if (got.checksum_failed) {
+        // Persistent disagreement after the reader's re-read means the
+        // bytes on disk are wrong (or the schemas diverged).
+        if (stats != nullptr) stats->disk_checksum_failures.fetch_add(1);
+        PANDA_REQUIRE(false,
+                      "sub-chunk failed its on-disk checksum after a re-read "
+                      "(%s segment %lld record %lld, chunk %d sub %d)",
+                      seg.stream.c_str(), static_cast<long long>(seg.seg),
+                      static_cast<long long>(item.record_ordinal), ci, si);
       }
+      if (got.codec != CodecId::kNone) {
+        PANDA_SPAN(dec_span, trace::SpanKind::kCodecDecode, sp.bytes);
+        ep.AdvanceCompute(static_cast<double>(sp.bytes) /
+                          params.codec_decode_Bps);
+      }
+      buf = std::move(got.raw);
     }
     // ...then scatter its pieces to the clients that need them.
     for (size_t pi = 0; pi < sp.pieces.size(); ++pi) {
@@ -737,11 +417,11 @@ void ServerReadArray(Endpoint& ep, FileSystem& fs, const World& world,
         // End-to-end wire checksum over the *uncompressed* bytes,
         // verified by the receiving client after it decodes the frame.
         enc.Put<std::uint32_t>(Crc32c({payload.data(), payload.size()}));
-        if (framing) {
+        if (meta.codec != CodecId::kNone) {
           const double enc_begin = ep.clock().Now();
           CodecId used = CodecId::kNone;
           std::vector<std::byte> framed =
-              EncodeWireFrame(codec, {payload.data(), payload.size()},
+              EncodeWireFrame(meta.codec, {payload.data(), payload.size()},
                               meta.elem_size, &used);
           if (used != CodecId::kNone) {
             ep.AdvanceCompute(static_cast<double>(piece.bytes) /
@@ -881,17 +561,8 @@ void ServerExecuteImpl(Endpoint& ep, FileSystem& fs, const World& world,
   // barrier; the rename window after it is metadata-only.
   if (!pending_renames.empty()) {
     Barrier(ep, world.ServerGroup(ep.rank()));
-    for (const auto& [from, to] : pending_renames) {
-      // An empty `from` is a staged removal: leftovers of the other
-      // layout form (flat vs sharded) retired at the commit point.
-      options.retry.Run(&ep.clock(), options.robustness, [&] {
-        if (from.empty()) {
-          fs.Remove(to);
-        } else {
-          fs.Rename(from, to);
-        }
-      });
-    }
+    CommitStaged(fs, options.retry, &ep.clock(), options.robustness,
+                 pending_renames);
   }
   // A committed checkpoint retires the timestep journal's history.
   if (req.op == IoOp::kWrite) {
@@ -903,13 +574,10 @@ void ServerExecuteImpl(Endpoint& ep, FileSystem& fs, const World& world,
   // (Skipped in timing-only sweeps: metadata needs real bytes.)
   if (req.op == IoOp::kWrite && sidx == 0 && !req.meta_file.empty() &&
       !ep.timing_only()) {
-    // A sharded run records its granularity so readers, fsck and the
-    // rejoin repair re-derive the identical shard map offline.
+    // A bounded shard size is recorded so readers, fsck and the rejoin
+    // repair re-derive the identical shard map offline.
     CollectiveRequest meta_req = req;
-    if (options.shard_bytes > 0) {
-      meta_req.attributes[kShardBytesAttr] =
-          std::to_string(options.shard_bytes);
-    }
+    RecordShardBytes(options, meta_req.attributes);
     options.retry.Run(&ep.clock(), options.robustness,
                       [&] { UpdateGroupMeta(fs, meta_req); });
   }
@@ -1032,20 +700,12 @@ void FailoverCollective(Endpoint& ep, FileSystem& fs, const World& world,
   }
 
   // Commit point passed (the release doubles as the checkpoint
-  // barrier): publish staged checkpoint files. The renames touch data,
-  // sidecar and journal names alike — recovery's journal republication
-  // rides this same loop, so stamp it for the race checker (no-op
-  // unless -DPANDA_HB=ON).
+  // barrier): publish staged checkpoint files. The renames touch shard
+  // and journal names alike — recovery's journal republication rides
+  // this same loop, so stamp it for the race checker (no-op unless
+  // -DPANDA_HB=ON).
   hb::StampAccess(&fs, "server.fs", /*is_write=*/true);
-  for (const auto& [from, to] : staged) {
-    options.retry.Run(&ep.clock(), options.robustness, [&] {
-      if (from.empty()) {
-        fs.Remove(to);
-      } else {
-        fs.Rename(from, to);
-      }
-    });
-  }
+  CommitStaged(fs, options.retry, &ep.clock(), options.robustness, staged);
   // A committed checkpoint retires the timestep journal's history.
   if (req.op == IoOp::kWrite) {
     MaybeGcJournals(ep, fs, world, params, req, options, plan_cache, dead);
@@ -1077,10 +737,7 @@ void FailoverCollective(Endpoint& ep, FileSystem& fs, const World& world,
       if (epoch > 0) {
         meta_req.attributes[kLayoutEpochAttr] = std::to_string(epoch);
       }
-      if (options.shard_bytes > 0) {
-        meta_req.attributes[kShardBytesAttr] =
-            std::to_string(options.shard_bytes);
-      }
+      RecordShardBytes(options, meta_req.attributes);
       hb::StampAccess(&fs, "server.fs", /*is_write=*/true);
       options.retry.Run(&ep.clock(), options.robustness,
                         [&] { UpdateGroupMeta(fs, meta_req); });

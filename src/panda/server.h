@@ -42,12 +42,14 @@ struct ServerOptions {
   // faults (or an exhausted budget) escape into the structured abort
   // protocol (docs/PROTOCOL.md).
   RetryPolicy retry;
-  // Maintain CRC32C sidecar files (`F.crc`, see panda/integrity.h) for
-  // every sub-chunk written, and verify sub-chunks against them on read
-  // collectives (one re-read retry before declaring corruption).
-  // Opt-in: sidecar traffic changes the per-file op counts the timing
-  // studies reason about. Requires real data (ignored in timing-only
-  // runs); data files without a sidecar read back unverified.
+  // End-to-end on-disk checksums: every sub-chunk's CRC32C (over its
+  // decoded bytes) goes into its shard-table record, and read
+  // collectives verify sub-chunks whose record carries one (one re-read
+  // of record and slot before declaring corruption; docs/PROTOCOL.md
+  // "On-disk layout"). Opt-in: the table costs one extra write per shard
+  // on write and two extra reads per shard on read, which the timing
+  // studies do not pay. Requires real data (ignored in timing-only
+  // runs); segments written without checksums read back unverified.
   bool disk_checksums = false;
   // Maintain a write-ahead chunk journal (`F.wal`, see panda/journal.h):
   // one commit record per sub-chunk, appended after its data write and
@@ -65,11 +67,11 @@ struct ServerOptions {
   bool failover = false;
   // Robustness accounting sink (may be null: counting is skipped).
   RobustnessStats* robustness = nullptr;
-  // Sharded chunk store (src/store/): 0 keeps the flat
-  // one-file-per-(array, server) layout; positive routes every data
-  // path through ShardStore — segments are cut into `F.shard.N` files
-  // of about this many data bytes, each carrying a CRC-framed table of
-  // its sub-chunks. The granularity is recorded in the group metadata
+  // Shard granularity of the on-disk layout (src/store/, panda/
+  // store_io.h): each segment is cut into `F.shard.N` files of about
+  // this many data bytes. 0 is the unbounded case — one shard per
+  // segment, whose data region is the classic flat per-server file.
+  // A positive value is recorded in the group metadata
   // (`__panda.shard_bytes`) so readers, fsck and repair re-derive the
   // identical shard map. AdviseShardSize (panda/advisor.h) picks a
   // value from the backend's cost model.
@@ -78,8 +80,6 @@ struct ServerOptions {
   // sub-chunks in place, kObjectStore buffers whole shards and PUTs
   // them once (no partial overwrite on an object store).
   store::StoreBackend backend = store::StoreBackend::kPosix;
-  // Bound on concurrently open shard file handles (LRU beyond it).
-  int handle_pool_capacity = 16;
 };
 
 // Runs the server loop on an i/o-node rank until a shutdown request

@@ -48,7 +48,7 @@ class Machine {
   // Simulated machine whose i/o nodes front a shared object store
   // (ObjectStoreFileSystem): shard files (`*.shard.N`) become
   // whole-object PUT/GET traffic priced by `model`, everything else
-  // (metadata, sidecars, journals) stays on the node's local disk
+  // (metadata, journals) stays on the node's local disk
   // model. Pair with ServerOptions::backend = kObjectStore and a
   // shard size from AdviseShardSize.
   static Machine SimulatedObjectStore(int num_clients, int num_servers,

@@ -37,13 +37,6 @@ File* FileHandlePool::Acquire(const std::string& path, OpenMode mode) {
   return lru_.front().file.get();
 }
 
-void FileHandlePool::Invalidate(const std::string& path) {
-  const auto it = index_.find(path);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
 void FileHandlePool::Clear() {
   lru_.clear();
   index_.clear();

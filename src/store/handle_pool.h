@@ -26,14 +26,12 @@ class FileHandlePool {
   FileHandlePool(FileSystem* fs, int capacity);
 
   // Returns a live handle for `path`, opening (and possibly evicting)
-  // as needed. The handle stays valid until the next Acquire / Clear /
-  // Invalidate. kWrite always reopens (truncation is the point of
-  // kWrite; a cached handle would silently skip it); a cached kRead
-  // handle is upgraded by reopening when write access is requested.
+  // as needed. The handle stays valid until the next Acquire / Clear.
+  // kWrite always reopens (truncation is the point of kWrite; a cached
+  // handle would silently skip it); a cached kRead handle is upgraded by
+  // reopening when write access is requested.
   File* Acquire(const std::string& path, OpenMode mode);
 
-  // Drops the cached handle for `path` (before Remove/Rename).
-  void Invalidate(const std::string& path);
   void Clear();
 
   std::int64_t hits() const { return hits_; }

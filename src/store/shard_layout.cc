@@ -7,7 +7,6 @@ namespace store {
 
 ShardLayout ShardLayout::Pack(std::span<const ShardSlot> slots,
                               std::int64_t shard_bytes) {
-  PANDA_REQUIRE(shard_bytes > 0, "shard_bytes must be positive");
   ShardLayout layout;
   layout.slots_.assign(slots.begin(), slots.end());
   layout.shard_of_record_.resize(slots.size());
@@ -18,7 +17,8 @@ ShardLayout ShardLayout::Pack(std::span<const ShardSlot> slots,
     PANDA_REQUIRE(slot.offset == expected && slot.bytes > 0,
                   "shard slots must be contiguous ascending from 0");
     expected += slot.bytes;
-    if (cur.num_records > 0 && cur.data_bytes + slot.bytes > shard_bytes) {
+    if (shard_bytes > 0 && cur.num_records > 0 &&
+        cur.data_bytes + slot.bytes > shard_bytes) {
       layout.shards_.push_back(cur);
       cur = ShardSpec{static_cast<std::int64_t>(i), 0, slot.offset, 0};
     }

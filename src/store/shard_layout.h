@@ -1,11 +1,12 @@
-// Shard layout: how one server's segment of an array maps onto a
-// bounded set of shard files.
+// Shard layout: how one server's segment of an array maps onto shard
+// files — the only way a segment reaches disk.
 //
-// The flat layout writes every sub-chunk of a (array, server) pair into
-// one file at its plan offset. The sharded layout cuts that segment
-// into shards of at most `shard_bytes` each (greedy, in plan order, at
-// sub-chunk boundaries), Zarr-style: many sub-chunks per shard file,
-// each shard self-describing via an indexed table (shard_table.h).
+// A segment is cut into shards of at most `shard_bytes` each (greedy,
+// in plan order, at sub-chunk boundaries), Zarr-style: many sub-chunks
+// per shard file, each at its segment-relative offset within the
+// shard's data region (shard_table.h). `shard_bytes = 0` is the
+// unbounded case: one shard per segment, whose data region is exactly
+// the classic flat per-server file.
 //
 // The mapping is a pure function of the plan's slot list — writer,
 // reader, fsck and repair all derive the identical layout from the
@@ -47,8 +48,9 @@ class ShardLayout {
 
   // Greedy packing: accumulate slots while the shard stays within
   // `shard_bytes`; a slot larger than `shard_bytes` gets a shard of its
-  // own (every shard holds at least one slot). Slots must be ascending
-  // and contiguous from offset 0.
+  // own (every shard holds at least one slot). `shard_bytes <= 0` packs
+  // every slot into one shard. Slots must be ascending and contiguous
+  // from offset 0.
   static ShardLayout Pack(std::span<const ShardSlot> slots,
                           std::int64_t shard_bytes);
 

@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli) checksums.
 //
 // Used for Panda's end-to-end integrity protection: piece payloads on
-// the wire and sub-chunk sidecar records on disk both carry a CRC32C so
+// the wire and sub-chunk shard-table records on disk both carry a CRC32C so
 // corruption anywhere between a client's memory and an i/o node's disk
 // (or vice versa) is detected at the first opportunity instead of
 // silently scrambling arrays. CRC32C is the same polynomial iSCSI and

@@ -55,8 +55,9 @@ TEST(TwoPhaseTest, FilesMatchPandaLayout) {
     const auto expected =
         ExpectedSegment(meta, 3, s, machine.params().subchunk_bytes, 77);
     if (expected.empty()) continue;
-    auto file = machine.server_fs(s).Open("base.dat." + std::to_string(s),
-                                          OpenMode::kRead);
+    auto file = machine.server_fs(s).Open(
+        store::ShardFileName("base.dat." + std::to_string(s), 0),
+        OpenMode::kRead);
     ASSERT_EQ(file->Size(), static_cast<std::int64_t>(expected.size()));
     std::vector<std::byte> got(expected.size());
     file->ReadAt(0, {got.data(), got.size()},
@@ -116,7 +117,8 @@ TEST(NaiveGatherTest, ProducesTraditionalOrderFile) {
                                machine.params(), meta);
       });
   // Server 0 holds the whole array in row-major order.
-  auto file = machine.server_fs(0).Open("gathered.dat.0", OpenMode::kRead);
+  auto file = machine.server_fs(0).Open(
+      store::ShardFileName("gathered.dat.0", 0), OpenMode::kRead);
   const Shape shape{8, 8};
   ASSERT_EQ(file->Size(), shape.Volume() * 4);
   std::vector<std::byte> image(static_cast<size_t>(file->Size()));
@@ -223,7 +225,8 @@ TEST(TwoPhaseTest, RandomSchemasMatchPandaFilesProperty) {
           meta, servers, s, machine.params().subchunk_bytes, salt);
       if (expected.empty()) continue;
       auto file = machine.server_fs(s).Open(
-          "prop.dat." + std::to_string(s), OpenMode::kRead);
+          store::ShardFileName("prop.dat." + std::to_string(s), 0),
+          OpenMode::kRead);
       std::vector<std::byte> got(expected.size());
       ASSERT_EQ(file->Size(), static_cast<std::int64_t>(expected.size()));
       file->ReadAt(0, {got.data(), got.size()},

@@ -8,9 +8,9 @@
 //     corrupted frames.
 //  3. End-to-end collectives: round trips under every codec, the
 //     codec=none bit-identity guarantee, byte savings on compressible
-//     data, frame-directory verification (panda_fsck --verify_frames),
-//     checkpoint/restart and timesteps on encoded files.
-//  4. Fault soak: a forged frame-directory record heals via the probe
+//     data, shard-table verification (panda_fsck --verify),
+//     checkpoint/restart and timesteps on encoded segments.
+//  4. Fault soak: a torn or forged table record heals via the probe
 //     (counted), a corrupted frame surfaces as a structured abort.
 #include <gtest/gtest.h>
 
@@ -310,7 +310,8 @@ RunOutcome RunWithCodec(CodecId codec, bool explicit_none) {
   out.bytes_sent = report.messages.bytes_sent;
   for (int s = 0; s < 2; ++s) {
     out.disk_bytes_written += machine.server_fs(s).stats().bytes_written;
-    const std::string name = DataFileName("", "field", Purpose::kGeneral, s);
+    const std::string name = store::ShardFileName(
+        DataFileName("", "field", Purpose::kGeneral, s), 0);
     FileSystem& fs = machine.server_fs(s);
     std::vector<std::byte> bytes;
     if (fs.Exists(name)) {
@@ -379,13 +380,15 @@ TEST(CodecEndToEnd, FrameDirectoryVerifies) {
   ArrayMeta meta = MakeArray(CodecId::kShuffleRle).meta();
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const FrameReport report = VerifyArrayFrames(
-      fs, meta, 1024, Purpose::kGeneral, 1, "", &log);
+  const SegmentReport report =
+      VerifyArraySegments(fs, meta, 1024, Purpose::kGeneral, 1, "",
+                          /*shard_bytes=*/0, /*read_data=*/true, &log);
   EXPECT_TRUE(report.Clean()) << log;
   EXPECT_EQ(report.files_checked, 2);
   EXPECT_GT(report.subchunks_checked, 0);
-  EXPECT_GT(report.frames_encoded, 0);  // the ramp actually compressed
-  EXPECT_EQ(report.torn_records, 0);
+  EXPECT_GT(report.subchunks_encoded, 0);  // the ramp actually compressed
+  EXPECT_EQ(report.entries_invalid, 0);
+  EXPECT_EQ(report.healed_slots, 0);
   EXPECT_EQ(report.decode_failures, 0);
 }
 
@@ -427,24 +430,39 @@ TEST(CodecEndToEnd, TimestepsAppendEncodedAndReadBack) {
 }
 
 // ---------------------------------------------------------------------
-// Fault soak: torn/forged directories and corrupted frames
+// Fault soak: torn/forged table records and corrupted frames
 
-// First frame-directory record of server 0's data file, plus handles.
+// Server 0's segment file and the first record of its shard table (the
+// table that directs framed reads).
 struct FirstRecord {
-  std::string data_name;
-  std::string dir_name;
-  FrameDirRecord rec;
+  std::string shard_name;
+  std::int64_t table_offset = 0;  // where record 0 lives
+  store::ShardTableEntry rec;
 };
 
 FirstRecord ReadFirstRecord(Machine& machine) {
   FirstRecord out;
-  out.data_name = DataFileName("", "field", Purpose::kGeneral, 0);
-  out.dir_name = FrameDirFileName(out.data_name);
-  auto dir = machine.server_fs(0).Open(out.dir_name, OpenMode::kRead);
-  auto rec = ReadFrameDirRecord(*dir, 0);
-  EXPECT_TRUE(rec.has_value());
-  out.rec = *rec;
+  out.shard_name = store::ShardFileName(
+      DataFileName("", "field", Purpose::kGeneral, 0), 0);
+  auto f = machine.server_fs(0).Open(out.shard_name, OpenMode::kRead);
+  std::vector<std::byte> footer(static_cast<size_t>(store::kShardFooterBytes));
+  f->ReadAt(f->Size() - store::kShardFooterBytes, footer,
+            store::kShardFooterBytes);
+  const auto decoded = store::DecodeShardFooter(footer);
+  EXPECT_TRUE(decoded.has_value());
+  out.table_offset = decoded->data_bytes;
+  out.rec = store::ReadShardTableEntry(*f, out.table_offset, 0);
+  EXPECT_TRUE(out.rec.valid);
   return out;
+}
+
+// Flips one byte inside table record 0: its CRC fails.
+void TearFirstRecord(Machine& machine, const FirstRecord& fr) {
+  auto f = machine.server_fs(0).Open(fr.shard_name, OpenMode::kReadWrite);
+  std::vector<std::byte> b(1);
+  f->ReadAt(fr.table_offset + 4, b, 1);
+  b[0] ^= std::byte{0x10};
+  f->WriteAt(fr.table_offset + 4, b, 1);
 }
 
 void WriteEncoded(Machine& machine) {
@@ -469,16 +487,9 @@ TEST(CodecFault, TornFrameDirectoryHealsByProbe) {
   Machine machine = SimMachine(4, 2);
   WriteEncoded(machine);
 
-  // Flip a byte inside record 0: its CRC fails, the reader treats it as
-  // torn and probes the slot's self-describing header instead.
-  const FirstRecord fr = ReadFirstRecord(machine);
-  {
-    auto dir = machine.server_fs(0).Open(fr.dir_name, OpenMode::kReadWrite);
-    std::vector<std::byte> b(1);
-    dir->ReadAt(4, b, 1);
-    b[0] ^= std::byte{0x10};
-    dir->WriteAt(4, b, 1);
-  }
+  // Flip a byte inside table record 0: its CRC fails, the reader treats
+  // it as torn and probes the slot's self-describing header instead.
+  TearFirstRecord(machine, ReadFirstRecord(machine));
   ReadBackAndVerify(machine);
   // A torn record probing successfully is silent, like the journal's
   // torn-tail tolerance: no decode failures, no abort.
@@ -491,16 +502,18 @@ TEST(CodecFault, ForgedDirectoryRecordHealsByReRead) {
   Machine machine = SimMachine(4, 2);
   WriteEncoded(machine);
 
-  // Forge record 0: valid CRC, plan-consistent offset/raw, but a bogus
-  // representation. The directory-directed decode fails; the probe
+  // Forge table record 0: valid CRC, plan-consistent offset/raw, but a
+  // bogus representation. The table-directed decode fails; the probe
   // re-read finds the real header and heals, and the heal is counted.
   FirstRecord fr = ReadFirstRecord(machine);
   ASSERT_NE(fr.rec.codec, CodecId::kNone);  // the ramp compressed
   {
-    auto dir = machine.server_fs(0).Open(fr.dir_name, OpenMode::kReadWrite);
-    FrameDirRecord forged = fr.rec;
+    auto f = machine.server_fs(0).Open(fr.shard_name, OpenMode::kReadWrite);
+    store::ShardTableEntry forged = fr.rec;
     forged.frame_bytes = std::max<std::int64_t>(1, fr.rec.frame_bytes / 2);
-    WriteFrameDirRecord(*dir, 0, forged);
+    std::vector<std::byte> bytes;
+    store::AppendShardTableEntry(bytes, forged);
+    f->WriteAt(fr.table_offset, bytes, static_cast<std::int64_t>(bytes.size()));
   }
   ReadBackAndVerify(machine);
   const RobustnessCounters counters = machine.robustness().Snapshot();
@@ -515,7 +528,7 @@ TEST(CodecFault, CorruptedFrameAbortsTheCollective) {
   Machine machine = Machine::Simulated(4, 2, params, true, false);
   const World world{4, 2};
   ServerOptions options;
-  options.disk_checksums = true;  // sidecars armed: corruption is fatal
+  options.disk_checksums = true;  // table CRCs armed: corruption is fatal
   options.robustness = &machine.robustness();
 
   machine.Run(
@@ -531,23 +544,19 @@ TEST(CodecFault, CorruptedFrameAbortsTheCollective) {
         ServerMain(ep, machine.server_fs(sidx), world, params, options);
       });
 
-  // Scribble over the first frame's header AND its directory record:
-  // the directory says "torn", the probe finds garbage, the sidecar
-  // CRC (over decoded bytes) cannot match — the collective must abort
-  // rather than hand the application scrambled data.
+  // Scribble over the first frame's header AND its table record: the
+  // record is torn, the probe finds garbage, and no CRC vouches for the
+  // slot in a checksummed table — the collective must abort rather
+  // than hand the application scrambled data.
   const FirstRecord fr = ReadFirstRecord(machine);
   {
-    auto data = machine.server_fs(0).Open(fr.data_name, OpenMode::kReadWrite);
+    auto data = machine.server_fs(0).Open(fr.shard_name, OpenMode::kReadWrite);
     std::vector<std::byte> junk(static_cast<size_t>(kFrameHeaderBytes),
                                 std::byte{0x69});
-    data->WriteAt(fr.rec.file_offset, junk,
+    data->WriteAt(fr.rec.slot_offset, junk,
                   static_cast<std::int64_t>(junk.size()));
-    auto dir = machine.server_fs(0).Open(fr.dir_name, OpenMode::kReadWrite);
-    std::vector<std::byte> b(1);
-    dir->ReadAt(4, b, 1);
-    b[0] ^= std::byte{0x10};
-    dir->WriteAt(4, b, 1);
   }
+  TearFirstRecord(machine, fr);
 
   EXPECT_THROW(
       machine.Run(
@@ -566,12 +575,13 @@ TEST(CodecFault, CorruptedFrameAbortsTheCollective) {
   const RobustnessCounters counters = machine.robustness().Snapshot();
   EXPECT_GE(counters.collectives_aborted, 1);
 
-  // Offline, --verify_frames sees the same corruption.
+  // Offline, the fsck walk sees the same corruption.
   ArrayMeta meta = MakeArray(CodecId::kShuffleRle).meta();
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const FrameReport report = VerifyArrayFrames(
-      fs, meta, 1024, Purpose::kGeneral, 1, "", &log);
+  const SegmentReport report =
+      VerifyArraySegments(fs, meta, 1024, Purpose::kGeneral, 1, "",
+                          /*shard_bytes=*/0, /*read_data=*/true, &log);
   EXPECT_FALSE(report.Clean()) << log;
   EXPECT_FALSE(log.empty());
 }
@@ -581,10 +591,10 @@ TEST(CodecFault, CorruptedFrameAbortsTheCollective) {
 
 // Mirrors FailoverTest.KilledServerMidWriteFailsOverAndReadsBackExact
 // with the array negotiated to shuffle+rle: the survivors must adopt
-// the dead server's chunks *encoded* (frames plus directory records at
-// the degraded offsets), the degraded read must decode them back
-// bit-exactly, and the offline frame sweep must verify under the
-// recorded dead-server set.
+// the dead server's chunks *encoded* (frames plus table records at the
+// degraded offsets), the degraded read must decode them back
+// bit-exactly, and the offline walk must verify under the recorded
+// dead-server set.
 TEST(CodecFailover, KilledServerMidWriteFailsOverOnEncodedArray) {
   Sp2Params params = Sp2Params::Functional();
   params.subchunk_bytes = 256;  // enough sends that the kill lands mid-write
@@ -632,8 +642,8 @@ TEST(CodecFailover, KilledServerMidWriteFailsOverOnEncodedArray) {
   EXPECT_EQ(counters.frame_decode_failures, 0);
   EXPECT_EQ(machine.fault_stats().Snapshot().ranks_killed, 1);
 
-  // Offline: the survivors' frame directories (adopted slots included)
-  // verify under the degraded layout, and the sidecars — CRCs over the
+  // Offline: the survivors' shard tables (adopted slots included)
+  // verify under the degraded layout, and their CRCs — over the
   // *decoded* bytes — agree with what the frames decode to.
   ArrayMeta meta;
   meta.name = "field";
@@ -644,18 +654,13 @@ TEST(CodecFailover, KilledServerMidWriteFailsOverOnEncodedArray) {
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1),
                       &machine.server_fs(2)};
   std::string log;
-  const FrameReport frames =
-      VerifyArrayFrames(fs, meta, 256, Purpose::kGeneral, 1, "", &log,
-                        /*dead_servers=*/{1});
-  EXPECT_TRUE(frames.Clean()) << log;
-  EXPECT_GT(frames.subchunks_checked, 0);
-  EXPECT_GT(frames.frames_encoded, 0);
-  log.clear();
-  const IntegrityReport crcs =
-      VerifyArrayChecksums(fs, meta, 256, Purpose::kGeneral, 1, "", &log,
-                           /*dead_servers=*/{1});
-  EXPECT_TRUE(crcs.Clean()) << log;
-  EXPECT_GT(crcs.subchunks_checked, 0);
+  const SegmentReport report = VerifyArraySegments(
+      fs, meta, 256, Purpose::kGeneral, 1, "", /*shard_bytes=*/0,
+      /*read_data=*/true, &log, /*dead_servers=*/{1});
+  EXPECT_TRUE(report.Clean()) << log;
+  EXPECT_GT(report.subchunks_checked, 0);
+  EXPECT_GT(report.subchunks_encoded, 0);
+  EXPECT_EQ(report.subchunks_verified, report.subchunks_checked);
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,10 @@ struct CostCase {
   bool fast_disk;
 };
 
+// Print the case by name: gtest's default byte dump would show the address
+// held in `name`, which moves from run to run and so renames the test.
+void PrintTo(const CostCase& cc, std::ostream* os) { *os << cc.name; }
+
 double SimulateCollective(const ArrayMeta& meta, const World& world,
                           const Sp2Params& params, IoOp op) {
   Machine machine = Machine::Simulated(world.num_clients, world.num_servers,

@@ -2,7 +2,7 @@
 // soaks — kill one i/o node mid-write (with and without a lossy wire)
 // and require the collective to complete on the survivors, read back
 // bit-exactly, restart from its checkpoint, and verify offline against
-// sidecars and journals under the recorded dead-server set.
+// table CRCs and journals under the recorded dead-server set.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -86,7 +86,7 @@ TEST(DegradedLayoutTest, WorkListSplitsIntoOwnThenAdopted) {
         BuildServerWork(plan, layout, s, WorkPhase::kAdoptedOnly);
     ASSERT_LE(adopted.size(), full.size());
     // The adopted slice is exactly the tail of the full list — record
-    // ordinals included, so sidecar/journal slots agree across phases.
+    // ordinals included, so table/journal slots agree across phases.
     const size_t own = full.size() - adopted.size();
     for (size_t k = 0; k < adopted.size(); ++k) {
       EXPECT_EQ(adopted[k].chunk_index, full[own + k].chunk_index);
@@ -205,15 +205,15 @@ TEST(FailoverTest, KilledServerMidWriteFailsOverAndReadsBackExact) {
   EXPECT_GE(faults.peers_declared_dead, 1);
 
   // Offline verification under the degraded layout: the survivors'
-  // sidecars and journals are complete and correct; server 1's stale
+  // table CRCs and journals are complete and correct; server 1's stale
   // file is skipped as lost.
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1),
                       &machine.server_fs(2)};
   const ArrayMeta meta = SmallMeta();
   std::string log;
-  const IntegrityReport crcs =
-      VerifyArrayChecksums(fs, meta, 256, Purpose::kGeneral, 1, "", &log,
-                           /*dead_servers=*/{1});
+  const SegmentReport crcs = VerifyArraySegments(
+      fs, meta, 256, Purpose::kGeneral, 1, "", /*shard_bytes=*/0,
+      /*read_data=*/true, &log, /*dead_servers=*/{1});
   EXPECT_TRUE(crcs.Clean()) << log;
   EXPECT_GT(crcs.subchunks_checked, 0);
   log.clear();
@@ -228,7 +228,7 @@ TEST(FailoverTest, SoakKillUnderLossyWireWithCheckpointRestart) {
   // The issue's acceptance scenario: one of three i/o nodes is killed
   // mid-write while the wire drops/duplicates/reorders messages. The
   // timestep stream, the checkpoint and the restart must all complete
-  // on the survivors; every read must be bit-exact; offline sidecar and
+  // on the survivors; every read must be bit-exact; offline checksum and
   // journal verification must pass under the recorded dead-server set.
   Machine machine = SmallMachine(4, 3);
   LossSpec loss;
@@ -277,15 +277,16 @@ TEST(FailoverTest, SoakKillUnderLossyWireWithCheckpointRestart) {
   const GroupMeta meta = ReadGroupMeta(machine.server_fs(0), "soak.schema");
   ASSERT_EQ(ParseDeadServersAttr(meta.attributes), (std::vector<int>{2}));
 
-  // ...and offline verification under it is clean: sidecars, journals,
-  // and the degraded file framing all agree.
+  // ...and offline verification under it is clean: table CRCs,
+  // journals, and the degraded segment framing all agree.
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1),
                       &machine.server_fs(2)};
   std::string log;
-  const IntegrityReport crcs = VerifyGroupChecksums(fs, meta, 256, &log);
+  const SegmentReport crcs =
+      VerifyGroupSegments(fs, meta, 256, /*read_data=*/true, &log);
   EXPECT_TRUE(crcs.Clean()) << log;
   EXPECT_GT(crcs.subchunks_checked, 0);
-  EXPECT_EQ(crcs.files_without_sidecar, 0);
+  EXPECT_EQ(crcs.subchunks_verified, crcs.subchunks_checked);
   log.clear();
   const JournalReport wal = VerifyGroupJournal(fs, meta, 256, &log);
   EXPECT_TRUE(wal.Clean()) << log;
@@ -308,9 +309,9 @@ TEST(FailoverTest, RejoinRestoresIdentityLayoutBitExact) {
   // mid-write, commit a degraded timestep + checkpoint, restart the
   // cluster with server 1 revived, and run one more timestep +
   // checkpoint over the repaired full server set. Machine B: the same
-  // history with no failure at all. The committed data files and
-  // sidecars must be BYTE-identical between the two — repair put every
-  // chunk back where the identity layout wants it, checksums included.
+  // history with no failure at all. The committed segment files must be
+  // BYTE-identical between the two — repair put every chunk back where
+  // the identity layout wants it, checksums included.
   const auto app_run1 = [](PandaClient& client, int idx) {
     ArrayLayout memory("m", {2, 2});
     Array a("state", {32, 32}, 8, memory, {BLOCK, BLOCK}, memory,
@@ -380,21 +381,23 @@ TEST(FailoverTest, RejoinRestoresIdentityLayoutBitExact) {
   EXPECT_TRUE(ParseDeadServersAttr(meta.attributes).empty());
   EXPECT_EQ(ParseLayoutEpochAttr(meta.attributes), 2);
 
-  // Byte identity with the never-failed run: data files and checksum
-  // sidecars, every server, both purposes. (Journals record different
-  // histories by design; they are verified semantically below.)
+  // Byte identity with the never-failed run: every segment file (data
+  // plus the table carrying its CRCs), every server, both purposes.
+  // (Journals record different histories by design; they are verified
+  // semantically below.)
   for (int s = 0; s < 3; ++s) {
     for (const Purpose purpose : {Purpose::kTimestep, Purpose::kCheckpoint}) {
       const std::string data = DataFileName("rejoin", "state", purpose, s);
-      ASSERT_TRUE(failed.server_fs(s).Exists(data)) << data;
-      EXPECT_EQ(ReadAllBytes(failed.server_fs(s), data),
-                ReadAllBytes(reference.server_fs(s), data))
-          << "server " << s << " " << data;
-      const std::string crc = SidecarFileName(data);
-      ASSERT_TRUE(failed.server_fs(s).Exists(crc)) << crc;
-      EXPECT_EQ(ReadAllBytes(failed.server_fs(s), crc),
-                ReadAllBytes(reference.server_fs(s), crc))
-          << "server " << s << " " << crc;
+      const StreamFiles want = ListStreamFiles(reference.server_fs(s), data);
+      ASSERT_FALSE(want.shards.empty()) << data;
+      ASSERT_EQ(ListStreamFiles(failed.server_fs(s), data).shards,
+                want.shards)
+          << data;
+      for (const std::string& shard : want.shards) {
+        EXPECT_EQ(ReadAllBytes(failed.server_fs(s), shard),
+                  ReadAllBytes(reference.server_fs(s), shard))
+            << "server " << s << " " << shard;
+      }
     }
   }
 
@@ -402,7 +405,8 @@ TEST(FailoverTest, RejoinRestoresIdentityLayoutBitExact) {
   FileSystem* fs[] = {&failed.server_fs(0), &failed.server_fs(1),
                       &failed.server_fs(2)};
   std::string log;
-  const IntegrityReport crcs = VerifyGroupChecksums(fs, meta, 256, &log);
+  const SegmentReport crcs =
+      VerifyGroupSegments(fs, meta, 256, /*read_data=*/true, &log);
   EXPECT_TRUE(crcs.Clean()) << log;
   EXPECT_GT(crcs.subchunks_checked, 0);
   log.clear();
@@ -431,9 +435,9 @@ TEST(FailoverTest, RejoinRestoresIdentityLayoutBitExact) {
 TEST(FailoverTest, IdleIoNodeCheckpointCommitsCleanly) {
   // Disk mesh narrower than the server set: server 2 owns no chunks.
   // Its checkpoint share is empty, but the staged two-phase renames
-  // still cover its (empty) sidecar and journal — a commit must not
-  // abort renaming files that were never created, and a restart must
-  // read the group back as if the idle node were not there.
+  // still cover its (empty) segment file — a commit must not abort
+  // renaming files that were never created, and a restart must read the
+  // group back as if the idle node were not there.
   Machine machine = SmallMachine(2, 3);
   machine.SetHeartbeat(HeartbeatConfig{true, 1.0e-2, 3});
   ArrayLayout memory("m", {2});

@@ -338,18 +338,19 @@ TEST(FaultSoakTest, TransientFaultsHealByteExactAcrossCollectives) {
   EXPECT_EQ(counters.disk_checksum_failures, 0);
   EXPECT_EQ(counters.collectives_aborted, 0);
 
-  // Offline verification agrees: every sidecar matches the bytes the
-  // faults tried to tear.
+  // Offline verification agrees: every table-record CRC matches the
+  // bytes the faults tried to tear.
   const GroupMeta meta =
       ReadGroupMeta(cluster.machine().server_fs(0), "soak.schema");
   FileSystem* fs[] = {&cluster.machine().server_fs(0),
                       &cluster.machine().server_fs(1)};
   std::string log;
-  const IntegrityReport report = VerifyGroupChecksums(
-      fs, meta, cluster.machine().params().subchunk_bytes, &log);
+  const SegmentReport report = VerifyGroupSegments(
+      fs, meta, cluster.machine().params().subchunk_bytes,
+      /*read_data=*/true, &log);
   EXPECT_TRUE(report.Clean()) << log;
   EXPECT_GT(report.subchunks_checked, 0);
-  EXPECT_EQ(report.files_without_sidecar, 0);
+  EXPECT_EQ(report.subchunks_verified, report.subchunks_checked);
 }
 
 TEST(FaultSoakTest, SilentReadCorruptionHealsByReread) {
@@ -448,9 +449,10 @@ TEST(FaultSoakTest, CorruptedDiskBlockAbortsReadCollective) {
         ServerMain(ep, machine.server_fs(sidx), world, params, options);
       });
 
-  // Corrupt the stored bytes behind the sidecar's back.
+  // Corrupt the stored bytes behind the table's back.
   {
-    const std::string name = DataFileName("", "field", Purpose::kGeneral, 0);
+    const std::string name = store::ShardFileName(
+        DataFileName("", "field", Purpose::kGeneral, 0), 0);
     auto f = machine.server_fs(0).Open(name, OpenMode::kReadWrite);
     std::vector<std::byte> b(1);
     f->ReadAt(100, {b.data(), 1}, 1);
@@ -484,9 +486,10 @@ TEST(FaultSoakTest, CorruptedDiskBlockAbortsReadCollective) {
   meta.disk = meta.memory;
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const IntegrityReport report = VerifyArrayChecksums(
-      fs, meta, params.subchunk_bytes, Purpose::kGeneral, 1, "", &log);
-  EXPECT_EQ(report.crc_mismatches, 1) << log;
+  const SegmentReport report =
+      VerifyArraySegments(fs, meta, params.subchunk_bytes, Purpose::kGeneral,
+                          1, "", /*shard_bytes=*/0, /*read_data=*/true, &log);
+  EXPECT_EQ(report.checksum_mismatches, 1) << log;
   EXPECT_FALSE(report.Clean());
   EXPECT_FALSE(log.empty());
 }
@@ -550,7 +553,7 @@ TEST(FaultSoakTest, PermanentFaultAbortsEveryRankWithOrigin) {
 TEST(FaultSoakTest, AbortedCheckpointLeavesPreviousOneRestorable) {
   // Healthy checkpoint A; checkpoint B dies permanently on server 0.
   // The structured abort reaches every rank and checkpoint A (with its
-  // sidecars) survives, verifiable and restorable.
+  // table CRCs) survives, verifiable and restorable.
   Sp2Params params = Sp2Params::Functional();
   params.subchunk_bytes = 256;
   Machine machine = Machine::Simulated(4, 2, params, true, false);
@@ -600,7 +603,7 @@ TEST(FaultSoakTest, AbortedCheckpointLeavesPreviousOneRestorable) {
           }),
       PandaAbortError);
 
-  // Checkpoint A still verifies against its sidecars...
+  // Checkpoint A still verifies against its table CRCs...
   ArrayMeta meta;
   meta.name = "state";
   meta.elem_size = 8;
@@ -608,8 +611,9 @@ TEST(FaultSoakTest, AbortedCheckpointLeavesPreviousOneRestorable) {
   meta.disk = meta.memory;
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const IntegrityReport report = VerifyArrayChecksums(
-      fs, meta, params.subchunk_bytes, Purpose::kCheckpoint, 1, "g", &log);
+  const SegmentReport report = VerifyArraySegments(
+      fs, meta, params.subchunk_bytes, Purpose::kCheckpoint, 1, "g",
+      /*shard_bytes=*/0, /*read_data=*/true, &log);
   EXPECT_TRUE(report.Clean()) << log;
   EXPECT_GT(report.subchunks_checked, 0);
 

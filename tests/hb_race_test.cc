@@ -25,6 +25,7 @@
 #include "msg/hb.h"
 #include "panda/protocol.h"
 #include "panda/report.h"
+#include "store/shard_layout.h"
 #include "test_harness.h"
 
 namespace panda {
@@ -178,6 +179,7 @@ struct SeededOutcome {
 std::vector<std::byte> FileBytes(Machine& machine, int server,
                                  const std::string& name) {
   FileSystem& fs = machine.server_fs(server);
+  EXPECT_TRUE(fs.Exists(name)) << name;
   if (!fs.Exists(name)) return {};
   std::unique_ptr<File> file = fs.Open(name, OpenMode::kRead);
   std::vector<std::byte> out(static_cast<size_t>(file->Size()));
@@ -237,7 +239,9 @@ SeededOutcome RunSeeded(std::uint64_t schedule_seed, bool with_loss) {
   out.bytes_sent = report.messages.bytes_sent;
   for (int s = 0; s < kServers; ++s) {
     out.file_bytes.push_back(FileBytes(
-        machine, s, DataFileName("", meta.name, Purpose::kGeneral, s)));
+        machine, s,
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, s), 0)));
   }
   if (const hb::Checker* checker = machine.hb_checker()) {
     out.races = checker->race_count();

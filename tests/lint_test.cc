@@ -6,6 +6,7 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -127,8 +128,8 @@ TEST(LintRules, RawIoInsideRetryRunIsClean) {
 TEST(LintRules, RawIoIgnoresDesignatedLayersAndOtherDirs) {
   const std::string code = "void f(File* file) { file->Sync(); }\n";
   EXPECT_TRUE(Lint("src/panda/journal.cc", code).empty());
-  EXPECT_TRUE(Lint("src/panda/integrity.cc", code).empty());
-  EXPECT_TRUE(Lint("src/panda/frame_io.cc", code).empty());
+  EXPECT_TRUE(Lint("src/panda/schema_io.cc", code).empty());
+  EXPECT_TRUE(Lint("src/store/shard_table.cc", code).empty());
   EXPECT_TRUE(Lint("src/iosim/sim_fs.cc", code).empty());
   EXPECT_TRUE(HasRule(Lint("src/panda/server.cc", code), "raw-io"));
 }
@@ -205,7 +206,7 @@ TEST(LintRules, RawThreadSuppressibleInline) {
 
 TEST(LintRules, SpanCoverageFlagsUninstrumentedStage) {
   LintConfig config;
-  config.span_manifest = {{"src/panda/server.cc", "ServerWriteArray"}};
+  config.stages = {{"src/panda/server.cc", "ServerWriteArray"}};
   const std::vector<Diagnostic> diags =
       Lint("src/panda/server.cc",
            "void ServerWriteArray(Endpoint& ep) {\n"
@@ -219,7 +220,7 @@ TEST(LintRules, SpanCoverageFlagsUninstrumentedStage) {
 
 TEST(LintRules, SpanCoverageAcceptsInstrumentedStage) {
   LintConfig config;
-  config.span_manifest = {{"src/panda/server.cc", "ServerWriteArray"}};
+  config.stages = {{"src/panda/server.cc", "ServerWriteArray"}};
   EXPECT_TRUE(Lint("src/panda/server.cc",
                    "void ServerWriteArray(Endpoint& ep) {\n"
                    "  PANDA_SPAN(span, trace::SpanKind::kServerWrite, 0);\n"
@@ -231,7 +232,7 @@ TEST(LintRules, SpanCoverageAcceptsInstrumentedStage) {
 
 TEST(LintRules, SpanCoverageFlagsMissingManifestFunction) {
   LintConfig config;
-  config.span_manifest = {{"src/panda/server.cc", "NoSuchStage"}};
+  config.stages = {{"src/panda/server.cc", "NoSuchStage"}};
   const std::vector<Diagnostic> diags =
       Lint("src/panda/server.cc", "void Other() {}\n", config);
   ASSERT_EQ(diags.size(), 1u);
@@ -240,11 +241,15 @@ TEST(LintRules, SpanCoverageFlagsMissingManifestFunction) {
 }
 
 TEST(LintRules, SpanManifestParserSkipsCommentsAndBlanks) {
-  const auto entries = ParseSpanManifest(
+  // The stage list is the `stage` lines of protocol.spec; comments,
+  // blanks and the spec's other line kinds are skipped.
+  const auto entries = ParseStageManifest(
       "# protocol stages\n"
       "\n"
-      "src/panda/server.cc ServerWriteArray\n"
-      "src/msg/transport.cc DoSend  # trailing comment\n");
+      "phase data\n"
+      "stage src/panda/server.cc ServerWriteArray\n"
+      "boundary ServerMain\n"
+      "stage src/msg/transport.cc DoSend  # trailing comment\n");
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].first, "src/panda/server.cc");
   EXPECT_EQ(entries[0].second, "ServerWriteArray");
@@ -333,12 +338,21 @@ TEST(LintRules, TagManifestParserReadsProtocolSpecMessageLines) {
   EXPECT_EQ(tags[0].second, "wire-crc");
   EXPECT_EQ(tags[1].first, "kTagBarrier");
   EXPECT_EQ(tags[1].second, "control");
-  // The span parser ignores spec text entirely: keywords never match a
-  // real file path, so span-coverage stays unaffected.
-  for (const auto& [path, fn] : ParseSpanManifest(text)) {
-    EXPECT_TRUE(path == "phase" || path == "message" || path == "boundary")
-        << path << " " << fn;
-  }
+  // The same text declares no stages: span-coverage reads only the
+  // `stage` lines.
+  EXPECT_TRUE(ParseStageManifest(text).empty());
+}
+
+TEST(LintRules, MissingStageListIsAUsageError) {
+  // A root without tools/analyze/protocol.spec (or whose spec declares
+  // no stage) must not let span-coverage pass by checking nothing: the
+  // CLI turns the throw into exit 2. Disabling the rule lifts the need.
+  LintConfig config;
+  config.root = ::testing::TempDir();
+  config.dirs = {};
+  EXPECT_THROW(RunLint(config), std::runtime_error);
+  config.disabled_rules.insert("span-coverage");
+  EXPECT_NO_THROW(RunLint(config));
 }
 
 // ---- header-hygiene ---------------------------------------------------

@@ -131,8 +131,8 @@ TEST(MixedWorkloadTest, DedicatedServersAlsoWork) {
     client.Shutdown();
   });
   // Each dedicated server holds only its own application's file.
-  EXPECT_TRUE(fs_a.Exists("x.dat.0"));
-  EXPECT_TRUE(fs_b.Exists("x.dat.0"));
+  EXPECT_TRUE(fs_a.Exists(store::ShardFileName("x.dat.0", 0)));
+  EXPECT_TRUE(fs_b.Exists(store::ShardFileName("x.dat.0", 0)));
 }
 
 TEST(MixedWorkloadTest, WindowedWorldValidation) {

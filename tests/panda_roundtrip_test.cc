@@ -71,6 +71,10 @@ struct SchemaCase {
   int servers;
 };
 
+// Print the case by name: gtest's default byte dump would show the address
+// held in `name`, which moves from run to run and so renames the test.
+void PrintTo(const SchemaCase& sc, std::ostream* os) { *os << sc.name; }
+
 class SchemaSweepTest : public ::testing::TestWithParam<SchemaCase> {};
 
 TEST_P(SchemaSweepTest, WriteReadRoundTrip) {
@@ -154,8 +158,9 @@ TEST(DiskLayoutTest, TraditionalOrderConcatenatesToRowMajor) {
   // Concatenate the per-server files and verify global row-major order.
   std::vector<std::byte> image;
   for (int s = 0; s < 4; ++s) {
-    auto file = machine.server_fs(s).Open("vol.dat." + std::to_string(s),
-                                          OpenMode::kRead);
+    auto file = machine.server_fs(s).Open(
+        store::ShardFileName("vol.dat." + std::to_string(s), 0),
+        OpenMode::kRead);
     const std::int64_t size = file->Size();
     std::vector<std::byte> part(static_cast<size_t>(size));
     file->ReadAt(0, {part.data(), part.size()}, size);
@@ -189,8 +194,9 @@ TEST(DiskLayoutTest, NaturalChunkingSegmentsMatchPlan) {
   for (int s = 0; s < 3; ++s) {
     const auto expected =
         ExpectedSegment(meta, 3, s, machine.params().subchunk_bytes, 5);
-    auto file = machine.server_fs(s).Open("grid.dat." + std::to_string(s),
-                                          OpenMode::kRead);
+    auto file = machine.server_fs(s).Open(
+        store::ShardFileName("grid.dat." + std::to_string(s), 0),
+        OpenMode::kRead);
     ASSERT_EQ(file->Size(), static_cast<std::int64_t>(expected.size()));
     std::vector<std::byte> got(expected.size());
     file->ReadAt(0, {got.data(), got.size()},

@@ -22,6 +22,10 @@ struct CountCase {
   IoOp op;
 };
 
+// Print the case by name: gtest's default byte dump would show the address
+// held in `name`, which moves from run to run and so renames the test.
+void PrintTo(const CountCase& cc, std::ostream* os) { *os << cc.name; }
+
 class MessageCountTest : public ::testing::TestWithParam<CountCase> {};
 
 TEST_P(MessageCountTest, ExactlyPlannedTraffic) {

@@ -33,6 +33,7 @@
 #include "panda/report.h"
 #include "sched/sched.h"
 #include "sched/wait.h"
+#include "store/shard_layout.h"
 #include "test_harness.h"
 
 namespace panda {
@@ -226,6 +227,7 @@ struct RunOutcome {
 std::vector<std::byte> FileBytes(Machine& machine, int server,
                                  const std::string& name) {
   FileSystem& fs = machine.server_fs(server);
+  EXPECT_TRUE(fs.Exists(name)) << name;
   if (!fs.Exists(name)) return {};
   std::unique_ptr<File> file = fs.Open(name, OpenMode::kRead);
   std::vector<std::byte> out(static_cast<size_t>(file->Size()));
@@ -288,7 +290,9 @@ RunOutcome RunSmoke(sched::Backend backend, std::uint64_t schedule_seed,
   out.bytes_sent = report.messages.bytes_sent;
   for (int s = 0; s < kServers; ++s) {
     out.file_bytes.push_back(FileBytes(
-        machine, s, DataFileName("", meta.name, Purpose::kGeneral, s)));
+        machine, s,
+        store::ShardFileName(
+            DataFileName("", meta.name, Purpose::kGeneral, s), 0)));
   }
   return out;
 }

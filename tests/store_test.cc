@@ -1,10 +1,12 @@
-// The sharded chunk store (src/store/): shard table round trips and
-// torn-table degradation, greedy layout packing, LRU handle-pool
-// bounds, writer/reader round trips under seeded transient faults on
-// both backends, a posix sharded cluster round trip audited by
-// VerifyGroupShards, torn-table healing through the frame-probe path,
-// and the full kill-mid-write -> rejoin soak on the simulated object
-// store with byte identity against a never-failed run.
+// The shard store (src/store/): shard table round trips and torn-table
+// degradation, greedy layout packing, LRU handle-pool bounds,
+// writer/reader round trips under seeded transient faults on both
+// backends, a posix sharded cluster round trip audited by
+// VerifyGroupSegments, torn-table healing through the frame-probe path,
+// the full kill-mid-write -> rejoin soak on the simulated object store
+// with byte identity against a never-failed run, the disk-op cost of
+// each segment kind, and mixed checksum settings between writer and
+// reader.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "store/shard_store.h"
 #include "store/shard_table.h"
 #include "test_harness.h"
+#include "util/crc32c.h"
 
 namespace panda {
 namespace {
@@ -108,6 +111,8 @@ std::vector<store::ShardTableEntry> TwoEntries() {
   store::ShardTableEntry b = a;
   b.sub_index = 1;
   b.slot_offset = 256;
+  b.has_crc = true;
+  b.data_crc = 0xdeadbeef;
   return {a, b};
 }
 
@@ -135,6 +140,10 @@ TEST(ShardTableTest, TailRoundTripsThroughFileAndImage) {
     EXPECT_EQ((*table)[i].slot_offset, entries[i].slot_offset) << i;
     EXPECT_EQ((*table)[i].raw_bytes, entries[i].raw_bytes) << i;
     EXPECT_EQ((*table)[i].frame_bytes, entries[i].frame_bytes) << i;
+    EXPECT_EQ((*table)[i].has_crc, entries[i].has_crc) << i;
+    EXPECT_EQ((*table)[i].data_crc, entries[i].has_crc ? entries[i].data_crc
+                                                       : 0u)
+        << i;
   }
 
   // The object-store GET path parses the same table from a whole image.
@@ -182,9 +191,15 @@ TEST(ShardTableTest, TornFooterDropsTableAndTornEntryDegradesAlone) {
     f->WriteAt(at, {&b, 1}, 1);
   };
 
-  // Level 3: a torn footer drops the whole table (probe-only shard).
+  // Level 3: a torn footer drops the whole table (probe-only shard)...
   flip(f->Size() - 1);
   EXPECT_FALSE(store::ReadShardTable(*f).has_value());
+  // ...unless the reader's plan locates the records itself.
+  const auto located =
+      store::ReadShardTable(*f, store::TableLocation{data_bytes, 2});
+  ASSERT_TRUE(located.has_value());
+  EXPECT_TRUE((*located)[0].valid);
+  EXPECT_TRUE((*located)[1].valid);
   flip(f->Size() - 1);
 
   // Level 2: a torn record invalidates only itself.
@@ -244,17 +259,21 @@ void PutAll(store::ShardWriter& writer) {
     writer.Put(/*seg=*/0, /*record=*/k, /*array_index=*/0,
                /*chunk_id=*/k / 4, /*sub_index=*/k % 4, CodecId::kNone,
                {bytes.data(), bytes.size()},
-               static_cast<std::int64_t>(bytes.size()));
+               static_cast<std::int64_t>(bytes.size()),
+               Crc32c({bytes.data(), bytes.size()}));
   }
   writer.Finish();
 }
 
+// Checksummed stores: every slot must come back verified.
 void GetAll(store::ShardReader& reader, bool expect_healed) {
   for (int k = 0; k < 16; ++k) {
     const store::ShardRead got = reader.Get(0, k, /*elem_size=*/8);
     ASSERT_EQ(got.raw.size(), 256u) << k;
     EXPECT_EQ(std::memcmp(got.raw.data(), SlotBytes(k).data(), 256), 0) << k;
     EXPECT_EQ(got.healed, expect_healed) << k;
+    EXPECT_TRUE(got.verified) << k;
+    EXPECT_FALSE(got.checksum_failed) << k;
   }
 }
 
@@ -270,9 +289,9 @@ TEST(ShardStoreTest, PosixRoundTripHealsSeededFaultsUnderEviction) {
   const store::ShardLayout layout = SixteenSlotLayout();
   ASSERT_EQ(layout.shards_per_segment(), 4);
   store::StoreOptions options;
-  options.shard_bytes = 1024;
   options.backend = store::StoreBackend::kPosix;
   options.handle_pool_capacity = 2;
+  options.checksums = true;
 
   VirtualClock clock;
   RobustnessStats stats;
@@ -301,9 +320,9 @@ TEST(ShardStoreTest, ObjectBackendRoundTripsWholeObjects) {
 
   const store::ShardLayout layout = SixteenSlotLayout();
   store::StoreOptions options;
-  options.shard_bytes = 1024;
   options.backend = store::StoreBackend::kObjectStore;
   options.object_cache_shards = 1;
+  options.checksums = true;
 
   RobustnessStats stats;
   const RetryPolicy retry;
@@ -339,7 +358,6 @@ ServerOptions ShardedOptions(Machine& machine, std::int64_t shard_bytes,
   options.journal = true;
   options.shard_bytes = shard_bytes;
   options.backend = backend;
-  options.handle_pool_capacity = 4;
   options.robustness = &machine.robustness();
   return options;
 }
@@ -390,26 +408,25 @@ TEST(ShardClusterTest, PosixShardedGroupRoundTripsAndAuditsClean) {
   EXPECT_EQ(machine.robustness().Snapshot().collectives_aborted, 0);
 
   // The shard granularity is committed to group metadata; the data
-  // lives in shard files, not flat segments.
+  // lives in shard files only — there is no bare stream file.
   const GroupMeta meta = ReadGroupMeta(machine.server_fs(0), "sh.schema");
   EXPECT_EQ(ParseShardBytesAttr(meta.attributes), 1024);
   const std::string flat = DataFileName("sh", "field", Purpose::kTimestep, 0);
   EXPECT_FALSE(machine.server_fs(0).Exists(flat));
   EXPECT_TRUE(machine.server_fs(0).Exists(store::ShardFileName(flat, 0)));
 
-  // All three offline passes are shard-aware and clean.
+  // Both offline passes are clean: the segment walk (tables and CRCs)
+  // and the journal replay.
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const ShardReport shards = VerifyGroupShards(fs, meta, 256, &log);
+  const SegmentReport shards =
+      VerifyGroupSegments(fs, meta, 256, /*read_data=*/true, &log);
   EXPECT_TRUE(shards.Clean()) << log;
   EXPECT_GT(shards.files_checked, 0);
   EXPECT_GT(shards.subchunks_checked, 0);
   EXPECT_EQ(shards.tables_torn, 0);
   EXPECT_EQ(shards.healed_slots, 0);
-  log.clear();
-  const IntegrityReport crcs = VerifyGroupChecksums(fs, meta, 256, &log);
-  EXPECT_TRUE(crcs.Clean()) << log;
-  EXPECT_GT(crcs.subchunks_checked, 0);
+  EXPECT_EQ(shards.subchunks_verified, shards.subchunks_checked);
   log.clear();
   const JournalReport wal = VerifyGroupJournal(fs, meta, 256, &log);
   EXPECT_TRUE(wal.Clean()) << log;
@@ -417,14 +434,22 @@ TEST(ShardClusterTest, PosixShardedGroupRoundTripsAndAuditsClean) {
 }
 
 TEST(ShardClusterTest, TornTableHealsThroughFrameProbe) {
+  // A codec array without checksums: its table is the only index of how
+  // each slot is stored, so tearing it leaves only the probe path.
   Machine machine = SmallMachine(4, 2);
-  const ServerOptions options =
+  ServerOptions options =
       ShardedOptions(machine, /*shard_bytes=*/1024, store::StoreBackend::kPosix);
+  options.disk_checksums = false;
 
   ArrayLayout memory("m", {2, 2});
-  const auto write_app = [&](PandaClient& client, int idx) {
+  const auto make_array = [&] {
     Array a("field", {32, 32}, 8, memory, {BLOCK, BLOCK}, memory,
             {BLOCK, BLOCK});
+    a.set_codec(CodecId::kShuffleRle);
+    return a;
+  };
+  const auto write_app = [&](PandaClient& client, int idx) {
+    Array a = make_array();
     a.BindClient(idx);
     ArrayGroup group("torn", "torn.schema");
     group.Include(&a);
@@ -433,34 +458,37 @@ TEST(ShardClusterTest, TornTableHealsThroughFrameProbe) {
   };
   RunShardedCluster(machine, options, write_app);
 
-  // Tear shard 0's footer on server 0: its table is gone, but every
-  // slot still proves out through the self-describing frame headers
-  // (three-level tolerance — damage is counted, not fatal).
+  // Tear shard 0's whole tail on server 0 — footer and every record: its
+  // table is gone, but every slot still proves out through the
+  // self-describing frame headers (three-level tolerance — damage is
+  // counted, not fatal).
   const std::string shard0 = store::ShardFileName(
       DataFileName("torn", "field", Purpose::kTimestep, 0), 0);
   {
     auto f = machine.server_fs(0).Open(shard0, OpenMode::kReadWrite);
-    std::byte b;
-    f->ReadAt(f->Size() - 1, {&b, 1}, 1);
-    b ^= std::byte{0x01};
-    f->WriteAt(f->Size() - 1, {&b, 1}, 1);
+    const std::int64_t tail = 4 * store::kShardTableEntryBytes +
+                              store::kShardFooterBytes;
+    std::vector<std::byte> bytes(static_cast<size_t>(tail));
+    f->ReadAt(f->Size() - tail, bytes, tail);
+    for (std::byte& b : bytes) b ^= std::byte{0x01};
+    f->WriteAt(f->Size() - tail, bytes, tail);
   }
 
   const GroupMeta meta = ReadGroupMeta(machine.server_fs(0), "torn.schema");
   FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
   std::string log;
-  const ShardReport report = VerifyGroupShards(fs, meta, 256, &log);
+  const SegmentReport report =
+      VerifyGroupSegments(fs, meta, 256, /*read_data=*/true, &log);
   EXPECT_TRUE(report.Clean()) << log;
   EXPECT_GE(report.tables_torn, 1);
   EXPECT_GT(report.healed_slots, 0);
   EXPECT_EQ(report.decode_failures, 0);
-  EXPECT_EQ(report.crc_mismatches, 0);
+  EXPECT_EQ(report.checksum_mismatches, 0);
 
   // The live read path heals the same way: a full-set read collective
   // over the torn shard still returns the written pattern.
   RunShardedCluster(machine, options, [&](PandaClient& client, int idx) {
-    Array a("field", {32, 32}, 8, memory, {BLOCK, BLOCK}, memory,
-            {BLOCK, BLOCK});
+    Array a = make_array();
     a.BindClient(idx);
     ArrayGroup group("torn", "torn.schema");
     group.Include(&a);
@@ -468,6 +496,7 @@ TEST(ShardClusterTest, TornTableHealsThroughFrameProbe) {
     group.ReadTimestep(client, 0);
     VerifyPattern(a, 42);
   });
+  EXPECT_GT(machine.robustness().Snapshot().frame_rereads, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -477,7 +506,7 @@ TEST(ShardClusterTest, ObjectStoreKillMidWriteRejoinsByteIdentical) {
   // The flat-layout acceptance scenario, re-run on the sharded object
   // store: kill i/o node 1 mid-write, commit a degraded timestep +
   // checkpoint, restart the node, repair, run one more timestep +
-  // checkpoint — then every shard file and sidecar must be
+  // checkpoint — then every shard file (table CRCs included) must be
   // BYTE-identical to a never-failed run's.
   Sp2Params params = Sp2Params::Functional();
   params.subchunk_bytes = 256;
@@ -554,7 +583,7 @@ TEST(ShardClusterTest, ObjectStoreKillMidWriteRejoinsByteIdentical) {
 
   // Byte identity, shard file by shard file: both machines derive the
   // same layout from the plan, so the repaired image must equal the
-  // never-failed one exactly — sidecars included.
+  // never-failed one exactly — table CRCs included.
   ArrayMeta array;
   array.name = "state";
   array.elem_size = 8;
@@ -564,7 +593,8 @@ TEST(ShardClusterTest, ObjectStoreKillMidWriteRejoinsByteIdentical) {
   const DegradedLayout identity = DegradedLayout::Compute(plan, {});
   for (int s = 0; s < 3; ++s) {
     const store::ShardLayout shards =
-        BuildShardLayout(plan, identity, s, shard_bytes);
+        PackWork(plan, BuildServerWork(plan, identity, s, WorkPhase::kFull),
+                 shard_bytes);
     for (const Purpose purpose : {Purpose::kTimestep, Purpose::kCheckpoint}) {
       const std::int64_t segments = purpose == Purpose::kTimestep ? 2 : 1;
       const std::string data = DataFileName("rj", "state", purpose, s);
@@ -576,11 +606,6 @@ TEST(ShardClusterTest, ObjectStoreKillMidWriteRejoinsByteIdentical) {
                   ReadAllBytes(reference.server_fs(s), shard))
             << "server " << s << " " << shard;
       }
-      const std::string crc = SidecarFileName(data);
-      ASSERT_TRUE(failed.server_fs(s).Exists(crc)) << crc;
-      EXPECT_EQ(ReadAllBytes(failed.server_fs(s), crc),
-                ReadAllBytes(reference.server_fs(s), crc))
-          << "server " << s << " " << crc;
     }
   }
 
@@ -588,12 +613,169 @@ TEST(ShardClusterTest, ObjectStoreKillMidWriteRejoinsByteIdentical) {
   FileSystem* fs[] = {&failed.server_fs(0), &failed.server_fs(1),
                       &failed.server_fs(2)};
   std::string log;
-  const ShardReport shards = VerifyGroupShards(fs, meta, 256, &log);
+  const SegmentReport shards =
+      VerifyGroupSegments(fs, meta, 256, /*read_data=*/true, &log);
   EXPECT_TRUE(shards.Clean()) << log;
   EXPECT_GT(shards.subchunks_checked, 0);
-  log.clear();
-  const IntegrityReport crcs = VerifyGroupChecksums(fs, meta, 256, &log);
-  EXPECT_TRUE(crcs.Clean()) << log;
+  EXPECT_EQ(shards.subchunks_verified, shards.subchunks_checked);
+}
+
+
+// ---------------------------------------------------------------------
+// The disk-op cost of each segment kind, and mixed checksum settings
+
+struct OpCounts {
+  std::int64_t reads = 0;
+  std::int64_t writes = 0;
+  std::int64_t syncs = 0;
+};
+
+// A 32x32 array of 8-byte elements over 2 i/o nodes at 256-byte
+// sub-chunks: each server stores 4 KiB, 16 sub-chunks.
+constexpr std::int64_t kSubchunksPerServer = 16;
+
+// One WriteArray or ReadArray collective (a read verifies the pattern
+// in every client); returns each server's disk ops for just that
+// collective.
+std::vector<OpCounts> RunArrayCollective(Machine& machine,
+                                         const ServerOptions& options,
+                                         CodecId codec, bool write,
+                                         bool timing = false) {
+  for (int s = 0; s < machine.num_servers(); ++s) {
+    machine.server_fs(s).ResetStats();
+  }
+  const World world{machine.num_clients(), machine.num_servers()};
+  ArrayLayout memory("m", {2, 2});
+  machine.Run(
+      [&](Endpoint& ep, int idx) {
+        PandaClient client(ep, world, machine.params());
+        client.set_robustness(&machine.robustness());
+        Array a("field", {32, 32}, 8, memory, {BLOCK, BLOCK}, memory,
+                {BLOCK, BLOCK});
+        a.set_codec(codec);
+        a.BindClient(idx, /*allocate=*/!timing);
+        if (write && !timing) FillPattern(a, 7);
+        if (write) {
+          client.WriteArray(a);
+        } else {
+          client.ReadArray(a);
+          if (!timing) {
+            EXPECT_EQ(VerifyPattern(a, 7), 0);
+          }
+        }
+        if (idx == 0) client.Shutdown();
+      },
+      [&](Endpoint& ep, int sidx) {
+        ServerMain(ep, machine.server_fs(sidx), world, machine.params(),
+                   options);
+      });
+  std::vector<OpCounts> out;
+  for (int s = 0; s < machine.num_servers(); ++s) {
+    const FsStats& fs = machine.server_fs(s).stats();
+    out.push_back({fs.reads, fs.writes, fs.syncs});
+  }
+  return out;
+}
+
+TEST(SegmentCostTest, EachSegmentKindIssuesItsPlannedOps) {
+  // A table-free segment — codec=none with checksums off, or any
+  // timing-only run (no real bytes, no table) — is its data region
+  // alone: n WriteAt + one Sync per shard on write, n ReadAt on read, no
+  // footer read. A checksummed segment costs exactly one more write per
+  // shard (the table tail) and two more reads per shard (footer, table).
+  struct Case {
+    bool timing;
+    bool checksums;
+    std::int64_t shard_bytes;
+    std::int64_t shards;  // per server segment
+    bool table;
+  };
+  for (const Case& c : {Case{false, false, 0, 1, false},
+                        Case{true, false, 0, 1, false},
+                        Case{true, true, 0, 1, false},
+                        Case{false, true, 0, 1, true},
+                        Case{false, true, 1024, 4, true}}) {
+    Sp2Params params = Sp2Params::Functional();
+    params.subchunk_bytes = 256;
+    Machine machine = Machine::Simulated(4, 2, params, !c.timing, c.timing);
+    ServerOptions options;
+    options.disk_checksums = c.checksums;
+    options.shard_bytes = c.shard_bytes;
+    options.robustness = &machine.robustness();
+    const auto wrote =
+        RunArrayCollective(machine, options, CodecId::kNone, true, c.timing);
+    const auto read =
+        RunArrayCollective(machine, options, CodecId::kNone, false, c.timing);
+    const std::int64_t tables = c.table ? c.shards : 0;
+    for (int s = 0; s < 2; ++s) {
+      SCOPED_TRACE("timing=" + std::to_string(c.timing) +
+                   " checksums=" + std::to_string(c.checksums) +
+                   " shard_bytes=" + std::to_string(c.shard_bytes) +
+                   " server=" + std::to_string(s));
+      EXPECT_EQ(wrote[s].writes, kSubchunksPerServer + tables);
+      EXPECT_EQ(wrote[s].syncs, c.shards);
+      EXPECT_EQ(wrote[s].reads + read[s].writes + read[s].syncs, 0);
+      EXPECT_EQ(read[s].reads, kSubchunksPerServer + 2 * tables);
+    }
+    const RobustnessCounters counters = machine.robustness().Snapshot();
+    EXPECT_EQ(counters.disk_checksum_rereads + counters.disk_checksum_failures,
+              0);
+  }
+}
+
+TEST(MixedChecksumTest, WriterAndReaderSettingsMayDiffer) {
+  ServerOptions on;
+  on.disk_checksums = true;
+  ServerOptions off;
+  // The offline walk of what a case left on disk: clean, and how many
+  // sub-chunks a CRC vouched for.
+  const auto verified_by_walk = [](Machine& machine, CodecId codec) {
+    FileSystem* fs[] = {&machine.server_fs(0), &machine.server_fs(1)};
+    ArrayMeta meta;
+    meta.name = "field";
+    meta.elem_size = 8;
+    meta.memory = Schema({32, 32}, Mesh(Shape{2, 2}), {BLOCK, BLOCK});
+    meta.disk = meta.memory;
+    meta.codec = codec;
+    std::string log;
+    const SegmentReport report = VerifyArraySegments(
+        fs, meta, 256, Purpose::kGeneral, 1, "", /*shard_bytes=*/0,
+        /*read_data=*/true, &log);
+    EXPECT_TRUE(report.Clean()) << log;
+    EXPECT_EQ(report.subchunks_checked, 2 * kSubchunksPerServer);
+    return report.subchunks_verified;
+  };
+
+  // Written with checksums: verified when read with them on (the reader
+  // pays the table reads), byte-exact and unverified with them off (a
+  // plain data-region read, no table touched).
+  Machine with = SmallMachine(4, 2);
+  on.robustness = &with.robustness();
+  RunArrayCollective(with, on, CodecId::kNone, true);
+  const auto verified = RunArrayCollective(with, on, CodecId::kNone, false);
+  const auto plain = RunArrayCollective(with, off, CodecId::kNone, false);
+  EXPECT_EQ(verified[0].reads, kSubchunksPerServer + 2);
+  EXPECT_EQ(plain[0].reads, kSubchunksPerServer);
+  EXPECT_EQ(verified_by_walk(with, CodecId::kNone), 2 * kSubchunksPerServer);
+  EXPECT_EQ(with.robustness().Snapshot().disk_checksum_rereads, 0);
+
+  // Written without checksums, read with them on: byte-exact and
+  // unverified, not failed — there is no table to read. A codec array
+  // keeps a table (it is framed) whose records carry no CRC: the same.
+  for (const CodecId codec : {CodecId::kNone, CodecId::kShuffleRle}) {
+    Machine without = SmallMachine(4, 2);
+    off.robustness = on.robustness = &without.robustness();
+    RunArrayCollective(without, off, codec, true);
+    const auto read = RunArrayCollective(without, on, codec, false);
+    if (codec == CodecId::kNone) {
+      EXPECT_EQ(read[0].reads, kSubchunksPerServer);
+    }
+    const RobustnessCounters counters = without.robustness().Snapshot();
+    EXPECT_EQ(counters.disk_checksum_rereads + counters.disk_checksum_failures +
+                  counters.collectives_aborted,
+              0);
+    EXPECT_EQ(verified_by_walk(without, codec), 0);
+  }
 }
 
 }  // namespace

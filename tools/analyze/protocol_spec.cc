@@ -149,6 +149,13 @@ bool ParseProtocolSpec(const std::string& text, ProtocolSpec* spec,
         return Fail(error, lineno, "boundary needs a function name");
       }
       spec->boundaries.push_back(std::move(boundary));
+    } else if (keyword == "stage") {
+      StageSpec stage;
+      stage.line = lineno;
+      if (!(fields >> stage.path >> stage.function)) {
+        return Fail(error, lineno, "stage needs a path and a function name");
+      }
+      spec->stages.push_back(std::move(stage));
     } else {
       return Fail(error, lineno, "unknown keyword '" + keyword + "'");
     }

@@ -1,8 +1,8 @@
 // The machine-readable Panda wire-protocol specification
 // (tools/analyze/protocol.spec), companion to docs/PROTOCOL.md and
 // input to the panda_proto analyses (proto_rules.h) and to panda_lint's
-// tag-coverage rule (the integrity classes superseded the `tag` lines
-// that used to live in span_manifest.txt).
+// tag-coverage (integrity classes) and span-coverage (stage list)
+// rules.
 //
 // Grammar ('#' comments and blank lines ignored; order free except that
 // a message may only reference an already-declared phase):
@@ -11,6 +11,7 @@
 //   message <tag> phase=<phase> integrity=<class> send=<roles>
 //           recv=<roles> [aux]
 //   boundary <function>
+//   stage <path> <function>
 //
 // Roles: client, server, app, any (comma-separated lists allowed).
 // Integrity classes: wire-crc, header-checked, control, unchecked.
@@ -20,7 +21,9 @@
 // MsgTag enumerators (the baseline tag space kTagApp+n declared in
 // src/baselines/baseline_util.h). `boundary` names a function that
 // converts transport errors into the structured PandaAbortError —
-// the sinks of the error-flow escape analysis.
+// the sinks of the error-flow escape analysis. `stage` names a protocol
+// stage (repo-relative file and function) whose definition must carry
+// span instrumentation.
 #pragma once
 
 #include <set>
@@ -51,10 +54,17 @@ struct BoundarySpec {
   int line = 0;
 };
 
+struct StageSpec {
+  std::string path;
+  std::string function;
+  int line = 0;
+};
+
 struct ProtocolSpec {
   std::vector<PhaseSpec> phases;
   std::vector<MessageSpec> messages;
   std::vector<BoundarySpec> boundaries;
+  std::vector<StageSpec> stages;
 
   const MessageSpec* Find(const std::string& tag) const;
   const PhaseSpec* FindPhase(const std::string& name) const;

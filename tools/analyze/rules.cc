@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 namespace panda {
@@ -174,14 +175,11 @@ void CheckRawIo(const SourceFile& f, const LintConfig&,
       !StartsWith(f.rel_path, "src/store/")) {
     return;
   }
-  // Designated raw-I/O layers: the WAL, checksum sidecars, schema
-  // metadata, the codec frame reader (its offline-verify entry points
-  // deliberately run without retries), the sequential baseline and the
-  // shard-table codec (pure in-memory framing plus offline table reads)
-  // own their durability story.
+  // Designated raw-I/O layers: the WAL, schema metadata, the sequential
+  // baseline and the shard-table codec (pure in-memory framing plus
+  // table reads its callers wrap) own their durability story.
   static const std::vector<std::string> kAllowed = {
-      "src/panda/journal.", "src/panda/integrity.", "src/panda/schema_io.",
-      "src/panda/frame_io.", "src/panda/sequential.",
+      "src/panda/journal.", "src/panda/schema_io.", "src/panda/sequential.",
       "src/store/shard_table."};
   if (AnyPrefix(f.rel_path, kAllowed)) return;
   static const std::set<std::string> kOps = {"WriteAt", "ReadAt", "Sync"};
@@ -266,14 +264,15 @@ void CheckSpanCoverage(const SourceFile& f, const LintConfig& config,
                        std::vector<Diagnostic>* out) {
   static const std::set<std::string> kSpanIdents = {
       "PANDA_SPAN", "RecordSpan", "RecordInstant", "SpanScope"};
-  for (const auto& entry : config.span_manifest) {
+  for (const auto& entry : config.stages) {
     if (entry.first != f.rel_path) continue;
     const std::vector<BodyRange> defs =
         FindDefinitions(f.tokens, entry.second);
     if (defs.empty()) {
       Diag(out, "span-coverage", f, 1,
-           "manifest function '" + entry.second +
-               "' not found — update tools/analyze/span_manifest.txt");
+           "stage function '" + entry.second +
+               "' not found — update the `stage` lines of "
+               "tools/analyze/protocol.spec");
       continue;
     }
     for (const BodyRange& body : defs) {
@@ -307,7 +306,7 @@ void CheckSpanCoverage(const SourceFile& f, const LintConfig& config,
 // exactly the regression this rule exists to catch: data moving with no
 // declared integrity story. The entries live in the `message` lines of
 // tools/analyze/protocol.spec (which superseded the `tag` lines that
-// used to sit in span_manifest.txt).
+// used to sit in a separate manifest).
 void CheckTagCoverage(const SourceFile& f, const LintConfig& config,
                       std::vector<Diagnostic>* out) {
   if (f.rel_path != "src/msg/message.h") return;
@@ -729,7 +728,7 @@ std::vector<Diagnostic> CheckFile(const SourceFile& file,
   return kept;
 }
 
-std::vector<std::pair<std::string, std::string>> ParseSpanManifest(
+std::vector<std::pair<std::string, std::string>> ParseStageManifest(
     const std::string& text) {
   std::vector<std::pair<std::string, std::string>> out;
   std::istringstream is(text);
@@ -738,9 +737,12 @@ std::vector<std::pair<std::string, std::string>> ParseSpanManifest(
     const size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
+    std::string keyword;
     std::string path;
     std::string fn;
-    if (fields >> path >> fn) out.emplace_back(path, fn);
+    if ((fields >> keyword >> path >> fn) && keyword == "stage") {
+      out.emplace_back(path, fn);
+    }
   }
   return out;
 }
@@ -802,28 +804,25 @@ std::vector<SourceFile> LoadCorpus(const LintConfig& config) {
 
 std::vector<Diagnostic> RunLint(const LintConfig& config) {
   LintConfig cfg = config;
-  if (cfg.span_manifest.empty()) {
-    const fs::path manifest =
-        fs::path(cfg.root) / "tools" / "analyze" / "span_manifest.txt";
-    std::ifstream in(manifest);
+  // The stage list (span-coverage) and the tag integrity classes
+  // (tag-coverage) both live in the wire spec.
+  const fs::path spec_path =
+      fs::path(cfg.root) / "tools" / "analyze" / "protocol.spec";
+  std::string spec;
+  {
+    std::ifstream in(spec_path);
     if (in) {
       std::ostringstream buf;
       buf << in.rdbuf();
-      cfg.span_manifest = ParseSpanManifest(buf.str());
+      spec = buf.str();
     }
   }
-  if (cfg.tag_manifest.empty()) {
-    // Tag integrity classes live in the wire spec since panda_proto
-    // subsumed the old span_manifest `tag` lines.
-    const fs::path spec =
-        fs::path(cfg.root) / "tools" / "analyze" / "protocol.spec";
-    std::ifstream in(spec);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      cfg.tag_manifest = ParseTagManifest(buf.str());
-    }
+  if (cfg.stages.empty()) cfg.stages = ParseStageManifest(spec);
+  if (cfg.stages.empty() && cfg.disabled_rules.count("span-coverage") == 0) {
+    throw std::runtime_error("no `stage` lines in " + spec_path.string() +
+                             ": span-coverage would check nothing");
   }
+  if (cfg.tag_manifest.empty()) cfg.tag_manifest = ParseTagManifest(spec);
 
   // Tokenize the whole corpus first: the cross-file rules need every
   // file in view before they can report (CheckFiles runs both phases).

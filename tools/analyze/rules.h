@@ -16,8 +16,8 @@
 //                   pthread_create) are spawned only by src/msg/ and
 //                   src/sched/ — everything else runs ranks through the
 //                   scheduler backend seam.
-//   span-coverage   protocol stage functions listed in the manifest
-//                   (tools/analyze/span_manifest.txt) contain a
+//   span-coverage   protocol stage functions listed by the `stage`
+//                   lines of tools/analyze/protocol.spec contain a
 //                   PANDA_SPAN / RecordSpan instrumentation site.
 //   tag-coverage    every MsgTag enumerator in src/msg/message.h has a
 //                   `message <name> ... integrity=<class>` entry in
@@ -75,10 +75,12 @@ struct LintConfig {
   std::string root = ".";
   // Subdirectories (relative to root) to scan.
   std::vector<std::string> dirs = {"src", "bench", "examples", "tests"};
-  // span-coverage manifest entries: (relative file, function name).
-  // When empty, RunLint loads tools/analyze/span_manifest.txt under
-  // `root` (rule skipped when that file does not exist).
-  std::vector<std::pair<std::string, std::string>> span_manifest;
+  // span-coverage stage list: (relative file, function name). When
+  // empty, RunLint loads the `stage` lines of tools/analyze/protocol.spec
+  // under `root`; with span-coverage enabled, a missing spec or an empty
+  // stage list is a usage error (RunLint throws) — the rule must never
+  // pass by checking nothing.
+  std::vector<std::pair<std::string, std::string>> stages;
   // tag-coverage manifest entries: (MsgTag enumerator, integrity
   // class). When empty, RunLint loads the non-aux `message` lines of
   // tools/analyze/protocol.spec under `root` (rule skipped when that
@@ -133,6 +135,8 @@ std::vector<Diagnostic> CheckFiles(const std::vector<SourceFile>& files,
 
 // Walks config.root/config.dirs for *.h / *.cc files, lints each, and
 // returns every unsuppressed diagnostic sorted by (file, line, rule).
+// Throws std::runtime_error when span-coverage is enabled but no stage
+// list can be loaded (the CLI's exit 2).
 std::vector<Diagnostic> RunLint(const LintConfig& config);
 
 // Walks config.root/config.dirs for *.h / *.cc files and tokenizes
@@ -140,9 +144,10 @@ std::vector<Diagnostic> RunLint(const LintConfig& config);
 // RunLint and panda_proto's RunProto.
 std::vector<SourceFile> LoadCorpus(const LintConfig& config);
 
-// Parses span manifest text ("relative/path FunctionName" per line; '#'
-// comments and blank lines ignored).
-std::vector<std::pair<std::string, std::string>> ParseSpanManifest(
+// Extracts span-coverage stages from protocol.spec text: each
+// `stage <relative/path> <FunctionName>` line yields a (path, function)
+// pair. Other lines, '#' comments and blanks are ignored.
+std::vector<std::pair<std::string, std::string>> ParseStageManifest(
     const std::string& text);
 
 // Extracts tag-coverage entries from protocol.spec text: each non-aux

@@ -21,7 +21,8 @@
 # the same workload at 1024 simulated ranks through the CLI surface
 # (docs/SCHEDULER.md); then a budgeted panda_mc smoke exhausts the 2x2
 # no-fault and bounded kill+drop decision spaces with zero invariant
-# violations (docs/MODEL_CHECKING.md).
+# violations (docs/MODEL_CHECKING.md), and a perfbench smoke runs the
+# repo benchmark end to end (perfbench/README.md).
 #
 # Static-analysis gates (docs/ANALYSIS.md):
 #  * tools/lint.sh runs BEFORE any compile: clang-format and clang-tidy
@@ -136,6 +137,19 @@ $MC --kill=1 --kill_lo=0 --kill_hi=40 --max_kills=2 --rejoin \
 grep -q "space exhausted" build-ci/mc_rejoin.txt
 grep -q "no invariant violations" build-ci/mc_rejoin.txt
 echo "panda_mc smoke OK"
+
+echo "== perfbench smoke (perfbench/README.md)"
+# The repo benchmark at smoke length, through its own build of src/.
+# durable-codec (traced) restarts byte-exactly through the codec, the
+# shard tables' checksums and the journal, and checks determinism and
+# traced-vs-untraced identity; natural-aix (untraced) cross-checks the
+# paper's Figure 3/4 numbers. run.py exits non-zero on any failed
+# collective, mismatching read or determinism violation.
+python3 perfbench/run.py --workload durable-codec --seed 1 --seconds 2 \
+    --trace 1 > build-ci/artifacts/PERF_durable_codec.json
+python3 perfbench/run.py --workload natural-aix --seed 1 --seconds 2 \
+    --trace 0 > build-ci/artifacts/PERF_natural_aix.json
+echo "perfbench smoke OK"
 
 if [ -z "$SKIP_SAN" ]; then
   # Sanitizer passes build with tracing compiled in (PANDA_TRACE=ON is
