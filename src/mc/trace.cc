@@ -11,15 +11,6 @@ namespace {
 
 constexpr char kHeader[] = "panda-mctrace v1";
 
-int PopCount(std::uint32_t mask) {
-  int n = 0;
-  while (mask != 0) {
-    n += static_cast<int>(mask & 1u);
-    mask >>= 1;
-  }
-  return n;
-}
-
 std::vector<std::string> SplitWords(const std::string& line) {
   std::vector<std::string> words;
   std::istringstream in(line);

@@ -3,8 +3,77 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/math.h"
 
 namespace panda {
+
+namespace {
+
+// One array dimension seen as CYCLIC(size) over `parts` mesh
+// coordinates. BLOCK is CYCLIC(ceil(n/parts)), which never deals a part
+// a second block, and * is a single block of the whole extent on one
+// part. Block j covers [j*size, min((j+1)*size, n)) and is the
+// (j / parts)-th block of part j % parts.
+struct DimBlocks {
+  std::int64_t n = 0;
+  std::int64_t parts = 1;
+  std::int64_t size = 1;
+  std::int64_t blocks = 0;  // non-empty blocks over all parts
+
+  // Non-empty blocks of part k.
+  std::int64_t CountOf(std::int64_t k) const {
+    return k < blocks ? (blocks - 1 - k) / parts + 1 : 0;
+  }
+  // Non-empty blocks of the parts below k.
+  std::int64_t CountBelow(std::int64_t k) const {
+    return (blocks / parts) * k + std::min(blocks % parts, k);
+  }
+  // Part k's t-th block.
+  Interval Block(std::int64_t k, std::int64_t t) const {
+    const std::int64_t lo = (k + t * parts) * size;
+    return {lo, std::min(size, n - lo)};
+  }
+};
+
+// Distributed dims consume mesh dims in array-dim order.
+std::vector<DimBlocks> BlocksOf(const Shape& shape, const Mesh& mesh,
+                                const std::vector<DimDist>& dists) {
+  std::vector<DimBlocks> out(dists.size());
+  int m = 0;
+  for (size_t d = 0; d < dists.size(); ++d) {
+    DimBlocks& b = out[d];
+    b.n = shape[static_cast<int>(d)];
+    switch (dists[d].kind) {
+      case Dist::kNone:
+        b.size = b.n;
+        break;
+      case Dist::kBlock:
+        b.parts = mesh.dims()[m++];
+        b.size = CeilDiv(b.n, b.parts);
+        break;
+      case Dist::kCyclic:
+        // A block wider than the extent is the one block [0, n).
+        b.parts = mesh.dims()[m++];
+        b.size = std::clamp<std::int64_t>(dists[d].block, 1, b.n);
+        break;
+    }
+    b.blocks = CeilDiv(b.n, b.size);
+  }
+  return out;
+}
+
+// Per-array-dim part of mesh position `pos` (0 on * dims).
+Index PartsOf(const Mesh& mesh, const std::vector<DimDist>& dists, int pos) {
+  const Index coords = mesh.Coords(pos);
+  Index parts = Index::Zeros(static_cast<int>(dists.size()));
+  int m = 0;
+  for (size_t d = 0; d < dists.size(); ++d) {
+    if (dists[d].distributed()) parts[static_cast<int>(d)] = coords[m++];
+  }
+  return parts;
+}
+
+}  // namespace
 
 Schema::Schema(Shape array_shape, Mesh mesh, std::vector<DimDist> dists)
     : array_shape_(array_shape), mesh_(mesh), dists_(std::move(dists)) {
@@ -22,7 +91,15 @@ Schema::Schema(Shape array_shape, Mesh mesh, std::vector<DimDist> dists)
   PANDA_REQUIRE(distributed == mesh_.rank(),
                 "%d distributed dims but mesh rank %d", distributed,
                 mesh_.rank());
-  BuildChunks();
+  // The chunk count is the product of the per-dimension block counts.
+  std::int64_t count = 1;
+  for (const DimBlocks& b : BlocksOf(array_shape_, mesh_, dists_)) {
+    PANDA_REQUIRE(!__builtin_mul_overflow(count, b.blocks, &count) &&
+                      count <= kMaxChunks,
+                  "schema produces too many chunks");
+  }
+  num_chunks_ = static_cast<int>(count);
+  table_ = std::make_shared<ChunkTable>();
 }
 
 bool Schema::has_cyclic() const {
@@ -31,93 +108,119 @@ bool Schema::has_cyclic() const {
   });
 }
 
-namespace {
-
-// Per-array-dim (part, parts) for a mesh position: distributed dims
-// consume mesh dims in array-dim order.
-struct DimPart {
-  std::int64_t part;
-  std::int64_t parts;
-};
-
-std::vector<DimPart> DimPartsFor(const Mesh& mesh,
-                                 const std::vector<DimDist>& dists, int pos) {
-  const Index coords = mesh.Coords(pos);
-  std::vector<DimPart> out(dists.size());
-  int m = 0;
-  for (size_t d = 0; d < dists.size(); ++d) {
-    if (dists[d].distributed()) {
-      out[d] = {coords[m], mesh.dims()[m]};
-      ++m;
-    } else {
-      out[d] = {0, 1};
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Region Schema::CellRegion(int pos) const {
   PANDA_CHECK_MSG(!has_cyclic(),
                   "CellRegion is only defined for BLOCK/* schemas");
-  const auto parts = DimPartsFor(mesh_, dists_, pos);
+  const auto dims = BlocksOf(array_shape_, mesh_, dists_);
+  const Index parts = PartsOf(mesh_, dists_, pos);
   const int r = rank();
   Index lo = Index::Zeros(r);
   Shape extent = Index::Zeros(r);
   for (int d = 0; d < r; ++d) {
-    const auto ivs = OwnedIntervals(dists_[d], array_shape_[d], parts[d].part,
-                                    parts[d].parts);
-    if (ivs.empty()) {
+    const DimBlocks& b = dims[static_cast<size_t>(d)];
+    if (b.CountOf(parts[d]) == 0) {
       return Region(Index::Zeros(r), Index::Zeros(r));  // empty cell
     }
-    lo[d] = ivs[0].lo;
-    extent[d] = ivs[0].extent;
+    const Interval iv = b.Block(parts[d], 0);
+    lo[d] = iv.lo;
+    extent[d] = iv.extent;
   }
   return Region(lo, extent);
 }
 
-void Schema::BuildChunks() {
-  chunks_.clear();
+const std::vector<SchemaChunk>& Schema::chunks() const {
+  if (table_ == nullptr) {
+    static const std::vector<SchemaChunk> kNoChunks;
+    return kNoChunks;
+  }
+  std::call_once(table_->built, [this] {
+    table_->chunks = ChunksIntersecting(Region::Whole(array_shape_));
+    PANDA_CHECK(static_cast<int>(table_->chunks.size()) == num_chunks_);
+  });
+  return table_->chunks;
+}
+
+std::vector<SchemaChunk> Schema::ChunksIntersecting(const Region& box) const {
+  std::vector<SchemaChunk> out;
+  if (rank() == 0) return out;
+  const Region clipped = Intersect(box, Region::Whole(array_shape_));
+  if (clipped.empty()) return out;
   const int r = rank();
-  for (int pos = 0; pos < mesh_.size(); ++pos) {
-    const auto parts = DimPartsFor(mesh_, dists_, pos);
-    // Interval choices per dimension.
-    std::vector<std::vector<Interval>> choices(r);
-    bool empty_cell = false;
-    for (int d = 0; d < r; ++d) {
-      choices[d] = OwnedIntervals(dists_[d], array_shape_[d], parts[d].part,
-                                  parts[d].parts);
-      if (choices[d].empty()) empty_cell = true;
+  const auto dims = BlocksOf(array_shape_, mesh_, dists_);
+
+  // Per dimension: the parts owning a block that meets the box,
+  // ascending, each with its range [first, last] of block choices.
+  struct Run {
+    std::int64_t part, first, last;
+  };
+  std::vector<std::vector<Run>> runs(static_cast<size_t>(r));
+  Shape num_runs = Index::Zeros(r);
+  // Chunks of all parts of the dims after d (the row-major stride of a
+  // dim-d part in the count of chunks before a position).
+  std::vector<std::int64_t> after(static_cast<size_t>(r) + 1, 1);
+  for (int d = r - 1; d >= 0; --d) {
+    after[static_cast<size_t>(d)] =
+        after[static_cast<size_t>(d) + 1] * dims[static_cast<size_t>(d)].blocks;
+  }
+  for (int d = 0; d < r; ++d) {
+    const DimBlocks& b = dims[static_cast<size_t>(d)];
+    std::vector<Run>& dim_runs = runs[static_cast<size_t>(d)];
+    const std::int64_t first_block = clipped.lo()[d] / b.size;
+    const std::int64_t last_block = (clipped.hi()[d] - 1) / b.size;
+    for (std::int64_t j = first_block;
+         j <= last_block && j < first_block + b.parts; ++j) {
+      const std::int64_t k = j % b.parts;
+      dim_runs.push_back({k, j / b.parts, (last_block - k) / b.parts});
     }
-    if (empty_cell) continue;
-    // Cross product of choices, row-major over choice indices.
+    std::sort(dim_runs.begin(), dim_runs.end(),
+              [](const Run& x, const Run& y) { return x.part < y.part; });
+    num_runs[d] = static_cast<std::int64_t>(dim_runs.size());
+  }
+
+  // Positions ascend with the runs (row-major over ascending parts), and
+  // within a position the block choices ascend row-major: ids come out
+  // ascending.
+  Index run = Index::Zeros(r);
+  do {
+    Index coords = Index::Zeros(mesh_.rank());
     Shape counts = Index::Zeros(r);
-    for (int d = 0; d < r; ++d) counts[d] = static_cast<std::int64_t>(choices[d].size());
-    Index pick = Index::Zeros(r);
+    Shape span = Index::Zeros(r);
+    std::int64_t base = 0;  // chunks of the positions before this one
+    std::int64_t same = 1;  // chunks per position sharing parts 0..d-1
+    int m = 0;
+    for (int d = 0; d < r; ++d) {
+      const DimBlocks& b = dims[static_cast<size_t>(d)];
+      const Run& rn = runs[static_cast<size_t>(d)][static_cast<size_t>(run[d])];
+      if (dists_[static_cast<size_t>(d)].distributed()) coords[m++] = rn.part;
+      base += same * b.CountBelow(rn.part) * after[static_cast<size_t>(d) + 1];
+      counts[d] = b.CountOf(rn.part);
+      same *= counts[d];
+      span[d] = rn.last - rn.first + 1;
+    }
+    const int pos = mesh_.PositionOf(coords);
+    Index step = Index::Zeros(r);
     do {
+      std::int64_t local = 0;
       Index lo = Index::Zeros(r);
       Shape extent = Index::Zeros(r);
       for (int d = 0; d < r; ++d) {
-        const Interval& iv = choices[d][static_cast<size_t>(pick[d])];
+        const Run& rn =
+            runs[static_cast<size_t>(d)][static_cast<size_t>(run[d])];
+        const std::int64_t t = rn.first + step[d];
+        local = local * counts[d] + t;
+        const Interval iv = dims[static_cast<size_t>(d)].Block(rn.part, t);
         lo[d] = iv.lo;
         extent[d] = iv.extent;
       }
-      Region region(lo, extent);
-      if (!region.empty()) {
-        // Library-wide sanity bound: a schema with millions of chunks is
-        // a bug (or hostile wire data), not a workload.
-        PANDA_REQUIRE(chunks_.size() < (1u << 22),
-                      "schema produces too many chunks");
-        chunks_.push_back({static_cast<int>(chunks_.size()), pos, region});
-      }
-    } while (NextIndexRowMajor(counts, pick));
-  }
+      out.push_back({static_cast<int>(base + local), pos, Region(lo, extent)});
+    } while (NextIndexRowMajor(span, step));
+  } while (NextIndexRowMajor(num_runs, run));
+  return out;
 }
 
 std::vector<SchemaChunk> Schema::ChunksOf(int pos) const {
   std::vector<SchemaChunk> out;
-  for (const auto& c : chunks_) {
+  for (const auto& c : chunks()) {
     if (c.owner_pos == pos) out.push_back(c);
   }
   return out;

@@ -11,6 +11,8 @@
 // one (possibly empty) chunk; with CYCLIC a position owns several.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "mdarray/distribution.h"
@@ -31,11 +33,16 @@ struct SchemaChunk {
 
 class Schema {
  public:
+  // Library-wide sanity bound on a schema's chunk count: a schema with
+  // millions of chunks is a bug (or hostile wire data), not a workload.
+  static constexpr std::int64_t kMaxChunks = std::int64_t{1} << 22;
+
   Schema() = default;
 
   // `dists` has one entry per array dimension; the number of distributed
   // (non-*) entries must equal mesh.rank(). Throws PandaError on
-  // malformed input.
+  // malformed input, including more than kMaxChunks chunks (counted in
+  // closed form: nothing is enumerated).
   Schema(Shape array_shape, Mesh mesh, std::vector<DimDist> dists);
 
   const Shape& array_shape() const { return array_shape_; }
@@ -49,9 +56,21 @@ class Schema {
   // (may be empty). Aborts on CYCLIC schemas (use chunks()).
   Region CellRegion(int pos) const;
 
+  // Number of non-empty chunks (== chunks().size()), known without
+  // building the chunk table.
+  int num_chunks() const { return num_chunks_; }
+
   // All non-empty chunks in canonical order: mesh positions ascending,
   // then (for CYCLIC) the per-dimension block choices in row-major order.
-  const std::vector<SchemaChunk>& chunks() const { return chunks_; }
+  // The table is built on the first call and shared, immutable, by every
+  // copy of this schema value, so copying a Schema is O(rank) however
+  // large its mesh.
+  const std::vector<SchemaChunk>& chunks() const;
+
+  // The chunks whose region intersects `box`, in canonical order, with
+  // their canonical ids. Computed arithmetically, without the chunk
+  // table: the cost is proportional to the result, not the mesh.
+  std::vector<SchemaChunk> ChunksIntersecting(const Region& box) const;
 
   // The chunks owned by mesh position `pos`, in canonical order.
   std::vector<SchemaChunk> ChunksOf(int pos) const;
@@ -65,12 +84,16 @@ class Schema {
   static Schema Decode(Decoder& dec);
 
  private:
-  void BuildChunks();
+  struct ChunkTable {
+    std::once_flag built;
+    std::vector<SchemaChunk> chunks;
+  };
 
   Shape array_shape_;
   Mesh mesh_;
   std::vector<DimDist> dists_;
-  std::vector<SchemaChunk> chunks_;
+  int num_chunks_ = 0;
+  std::shared_ptr<ChunkTable> table_;  // null only when default-constructed
 };
 
 // Splits `chunk` into rectangular sub-chunks of at most `max_bytes` each

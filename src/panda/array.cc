@@ -25,6 +25,10 @@ ArrayMeta ArrayMeta::Decode(Decoder& dec, bool with_codec) {
     meta.codec = static_cast<CodecId>(codec);
   }
   meta.memory = Schema::Decode(dec);
+  // The same rule as the Array constructor: planning asks the memory
+  // schema for one cell per client, which CYCLIC cannot answer.
+  PANDA_REQUIRE(!meta.memory.has_cyclic(),
+                "CYCLIC memory schemas are not supported (disk only)");
   meta.disk = Schema::Decode(dec);
   PANDA_REQUIRE(meta.memory.array_shape() == meta.disk.array_shape(),
                 "memory and disk schemas disagree on the array shape");

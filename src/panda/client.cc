@@ -30,9 +30,8 @@ namespace {
 // incoming header against this table and serves it, whatever the order
 // (the MPI_ANY_SOURCE pattern).
 struct Expected {
-  const IoPlan* plan = nullptr;
+  const ClientPiece* piece = nullptr;
   Array* array = nullptr;
-  ClientStep step;
   bool served = false;
 };
 
@@ -45,6 +44,52 @@ struct PieceKey {
                       o.piece_index);
   }
 };
+
+struct Obligations {
+  std::vector<std::shared_ptr<const ClientView>> views;  // own the pieces
+  std::map<PieceKey, Expected> expected;
+};
+
+// The obligation `h` names, marked served. `once` rejects a second
+// request for a piece (the clean path); failover re-plans may re-serve.
+Expected& Claim(Obligations& ob, const PieceHeader& h, bool once) {
+  const auto it = ob.expected.find(
+      {h.array_index, h.chunk_index, h.sub_index, h.piece_index});
+  PANDA_REQUIRE(it != ob.expected.end() && !(once && it->second.served),
+                "server directed an unexpected piece "
+                "(array=%d chunk=%d sub=%d piece=%d)",
+                h.array_index, h.chunk_index, h.sub_index, h.piece_index);
+  Expected& exp = it->second;
+  exp.served = true;
+  PANDA_REQUIRE(h.region == exp.piece->piece.region,
+                "server piece region %s does not match the local plan %s",
+                h.region.ToString().c_str(),
+                exp.piece->piece.region.ToString().c_str());
+  return exp;
+}
+
+// This client's share of each array's plan, tabulated by the piece
+// identification servers put in every header.
+Obligations PlanObligations(PlanCache& cache, const World& world,
+                            std::int64_t subchunk_bytes, int client,
+                            const CollectiveRequest& req,
+                            std::span<Array* const> arrays) {
+  Obligations ob;
+  ob.views.reserve(arrays.size());
+  for (std::int32_t ai = 0; ai < static_cast<std::int32_t>(arrays.size());
+       ++ai) {
+    ob.views.push_back(cache.GetClientView(
+        req.arrays[static_cast<size_t>(ai)], world.num_servers,
+        subchunk_bytes, req.has_subarray ? &req.subarray : nullptr, client));
+    for (const ClientPiece& cp : ob.views.back()->pieces()) {
+      ob.expected[{ai, static_cast<std::int32_t>(cp.step.chunk_index),
+                   static_cast<std::int32_t>(cp.step.sub_index),
+                   static_cast<std::int32_t>(cp.step.piece_index)}] =
+          Expected{&cp, arrays[static_cast<size_t>(ai)], false};
+    }
+  }
+  return ob;
+}
 
 }  // namespace
 
@@ -131,60 +176,29 @@ void PandaClient::ExecuteBody(const CollectiveRequest& req,
     ep_->Send(world_.master_server_rank(), kTagCollectiveRequest,
               req.ToMessage());
   }
-
-  // Mirror the servers' plans and tabulate this client's obligations.
-  std::vector<std::shared_ptr<const IoPlan>> plans;
-  plans.reserve(arrays.size());
-  for (const ArrayMeta& meta : req.arrays) {
-    plans.push_back(plan_cache_.Get(
-        meta, world_.num_servers, params_.subchunk_bytes,
-        req.has_subarray ? &req.subarray : nullptr));
-  }
-  std::map<PieceKey, Expected> expected;
-  for (std::int32_t ai = 0; ai < static_cast<std::int32_t>(arrays.size());
-       ++ai) {
-    const IoPlan& plan = *plans[static_cast<size_t>(ai)];
-    for (const ClientStep& step : plan.StepsOfClient(index())) {
-      expected[{ai, static_cast<std::int32_t>(step.chunk_index),
-                static_cast<std::int32_t>(step.sub_index),
-                static_cast<std::int32_t>(step.piece_index)}] =
-          Expected{&plan, arrays[static_cast<size_t>(ai)], step, false};
-    }
-  }
+  Obligations ob = PlanObligations(plan_cache_, world_, params_.subchunk_bytes,
+                                   index(), req, arrays);
 
   // Service loop: one message per obligation, in server-directed order.
   const int data_tag =
       req.op == IoOp::kWrite ? kTagPieceRequest : kTagPieceData;
-  for (size_t remaining = expected.size(); remaining > 0; --remaining) {
+  for (size_t remaining = ob.expected.size(); remaining > 0; --remaining) {
     Endpoint::Delivery delivery = ep_->RecvAnyDelivery(data_tag);
-    Message& msg = delivery.msg;
-    Decoder dec(msg.header);
+    Decoder dec(delivery.msg.header);
     const PieceHeader h = PieceHeader::Decode(dec);
     // Read-path piece data carries the payload's end-to-end checksum
     // after the piece header (write-path *requests* carry no payload).
     const std::uint32_t wire_crc =
         req.op == IoOp::kRead ? dec.Get<std::uint32_t>() : 0;
-    const auto it = expected.find(
-        {h.array_index, h.chunk_index, h.sub_index, h.piece_index});
-    PANDA_REQUIRE(it != expected.end() && !it->second.served,
-                  "server directed an unexpected piece "
-                  "(array=%d chunk=%d sub=%d piece=%d)",
-                  h.array_index, h.chunk_index, h.sub_index, h.piece_index);
-    Expected& exp = it->second;
-    exp.served = true;
-    const PiecePlan& piece = exp.plan->piece(exp.step);
-    const ChunkPlan& cp = exp.plan->chunk(exp.step);
-    PANDA_REQUIRE(h.region == piece.region,
-                  "server piece region %s does not match the local plan %s",
-                  h.region.ToString().c_str(),
-                  piece.region.ToString().c_str());
-    PANDA_REQUIRE(msg.src == world_.server_rank(cp.server),
+    const Expected& exp = Claim(ob, h, /*once=*/true);
+    const int server = exp.piece->server;
+    PANDA_REQUIRE(delivery.msg.src == world_.server_rank(server),
                   "piece directed by the wrong server");
-
     if (req.op == IoOp::kWrite) {
-      ServeWritePiece(delivery, *exp.array, piece, cp.server);
+      ServeWritePiece(delivery, *exp.array, exp.piece->piece, server);
     } else {
-      ServeReadPiece(delivery, *exp.array, piece, cp.server, wire_crc);
+      ServeReadPiece(delivery, *exp.array, exp.piece->piece, server,
+                     wire_crc);
     }
   }
 
@@ -204,42 +218,15 @@ void PandaClient::ExecuteBodyFailover(const CollectiveRequest& req,
     ep_->Send(world_.master_server_rank(), kTagCollectiveRequest,
               req.ToMessage());
   }
-
-  // Mirror the servers' plans and the degraded layout implied by the
-  // currently-known dead set (deaths mid-collective arrive as failover
-  // notices below).
-  std::vector<std::shared_ptr<const IoPlan>> plans;
-  plans.reserve(arrays.size());
-  for (const ArrayMeta& meta : req.arrays) {
-    plans.push_back(plan_cache_.Get(
-        meta, world_.num_servers, params_.subchunk_bytes,
-        req.has_subarray ? &req.subarray : nullptr));
-  }
-  std::vector<int> dead = DeadServerIndices(*ep_, world_);
-  std::vector<DegradedLayout> layouts;
-  const auto recompute_layouts = [&] {
-    layouts.clear();
-    layouts.reserve(plans.size());
-    for (const auto& plan : plans) {
-      layouts.push_back(DegradedLayout::Compute(*plan, dead));
-    }
-  };
-  recompute_layouts();
-
   // This client's obligations. Unlike the clean path there is no
   // once-only bookkeeping: a failover re-plan may legitimately direct a
   // piece of an adopted chunk a second time (idempotent re-serve).
-  std::map<PieceKey, Expected> expected;
-  for (std::int32_t ai = 0; ai < static_cast<std::int32_t>(arrays.size());
-       ++ai) {
-    const IoPlan& plan = *plans[static_cast<size_t>(ai)];
-    for (const ClientStep& step : plan.StepsOfClient(index())) {
-      expected[{ai, static_cast<std::int32_t>(step.chunk_index),
-                static_cast<std::int32_t>(step.sub_index),
-                static_cast<std::int32_t>(step.piece_index)}] =
-          Expected{&plan, arrays[static_cast<size_t>(ai)], step, false};
-    }
-  }
+  Obligations ob = PlanObligations(plan_cache_, world_, params_.subchunk_bytes,
+                                   index(), req, arrays);
+  // Chunk owners under the currently-known dead set (deaths
+  // mid-collective arrive as failover notices below).
+  std::vector<int> dead = DeadServerIndices(*ep_, world_);
+  ChunkOwners owners(world_.num_servers, dead);
 
   // Service loop: serve whatever the owning servers direct until the
   // master server's empty kTagFailover notice releases the collective.
@@ -259,16 +246,13 @@ void PandaClient::ExecuteBodyFailover(const CollectiveRequest& req,
         if (e.epoch() != 0) layout_epoch_ = e.epoch();
         break;
       }
-      std::vector<int> more;
-      more.reserve(e.dead_ranks().size());
-      for (int r : e.dead_ranks()) more.push_back(world_.server_index(r));
-      dead.insert(dead.end(), more.begin(), more.end());
+      for (int r : e.dead_ranks()) dead.push_back(world_.server_index(r));
       std::sort(dead.begin(), dead.end());
       dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
-      recompute_layouts();
+      owners = ChunkOwners(world_.num_servers, dead);
       continue;
     }
-    Message& msg = delivery.msg;
+    const Message& msg = delivery.msg;
     // A crash-stopped server's unanswered requests are stale: the
     // adopter re-requests under the new layout.
     if (!ep_->peer_alive(msg.src)) continue;
@@ -276,30 +260,15 @@ void PandaClient::ExecuteBodyFailover(const CollectiveRequest& req,
     const PieceHeader h = PieceHeader::Decode(dec);
     const std::uint32_t wire_crc =
         req.op == IoOp::kRead ? dec.Get<std::uint32_t>() : 0;
-    const auto it = expected.find(
-        {h.array_index, h.chunk_index, h.sub_index, h.piece_index});
-    PANDA_REQUIRE(it != expected.end(),
-                  "server directed an unexpected piece "
-                  "(array=%d chunk=%d sub=%d piece=%d)",
-                  h.array_index, h.chunk_index, h.sub_index, h.piece_index);
-    Expected& exp = it->second;
-    exp.served = true;
-    const PiecePlan& piece = exp.plan->piece(exp.step);
-    PANDA_REQUIRE(h.region == piece.region,
-                  "server piece region %s does not match the local plan %s",
-                  h.region.ToString().c_str(),
-                  piece.region.ToString().c_str());
-    const int owner =
-        layouts[static_cast<size_t>(h.array_index)]
-            .owner[static_cast<size_t>(h.chunk_index)];
+    const Expected& exp = Claim(ob, h, /*once=*/false);
+    const int owner = owners.OwnerOf(h.chunk_index);
     PANDA_REQUIRE(msg.src == world_.server_rank(owner),
                   "piece directed by a non-owner server (rank %d, owner %d)",
                   msg.src, world_.server_rank(owner));
-
     if (req.op == IoOp::kWrite) {
-      ServeWritePiece(delivery, *exp.array, piece, owner);
+      ServeWritePiece(delivery, *exp.array, exp.piece->piece, owner);
     } else {
-      ServeReadPiece(delivery, *exp.array, piece, owner, wire_crc);
+      ServeReadPiece(delivery, *exp.array, exp.piece->piece, owner, wire_crc);
     }
   }
 }

@@ -7,17 +7,46 @@
 
 namespace panda {
 
+ChunkOwners::ChunkOwners(int num_servers,
+                         const std::vector<int>& dead_servers)
+    : alive_(static_cast<size_t>(num_servers), true) {
+  for (int d : dead_servers) {
+    PANDA_CHECK(d >= 0 && d < num_servers);
+    alive_[static_cast<size_t>(d)] = false;
+  }
+  PANDA_REQUIRE(alive_[0], "master server (index 0) is dead: cannot re-plan");
+  int dead = 0;
+  for (int s = 0; s < num_servers; ++s) {
+    dead_below_.push_back(dead);
+    if (alive_[static_cast<size_t>(s)]) {
+      survivors_.push_back(s);
+    } else {
+      ++dead;
+    }
+  }
+}
+
+int ChunkOwners::OwnerOf(int chunk_index) const {
+  const int num_servers = static_cast<int>(alive_.size());
+  const int server = chunk_index % num_servers;
+  if (alive_[static_cast<size_t>(server)]) return server;
+  // Dead-owned chunks are dealt round-robin over the ascending
+  // survivors in ascending chunk order; count the ones before this.
+  const std::int64_t num_dead =
+      num_servers - static_cast<std::int64_t>(survivors_.size());
+  const std::int64_t dealt =
+      static_cast<std::int64_t>(chunk_index / num_servers) * num_dead +
+      dead_below_[static_cast<size_t>(server)];
+  return survivors_[static_cast<size_t>(
+      dealt % static_cast<std::int64_t>(survivors_.size()))];
+}
+
 DegradedLayout DegradedLayout::Compute(const IoPlan& plan,
                                        const std::vector<int>& dead_servers) {
   const int S = plan.num_servers();
+  const ChunkOwners owners(S, dead_servers);
   DegradedLayout layout;
-  layout.alive.assign(static_cast<size_t>(S), true);
-  for (int d : dead_servers) {
-    PANDA_CHECK(d >= 0 && d < S);
-    layout.alive[static_cast<size_t>(d)] = false;
-  }
-  PANDA_REQUIRE(layout.alive[0],
-                "master server (index 0) is dead: cannot re-plan");
+  layout.alive = owners.alive();
   layout.degraded = !dead_servers.empty();
 
   const auto& chunks = plan.chunks();
@@ -33,28 +62,20 @@ DegradedLayout DegradedLayout::Compute(const IoPlan& plan,
       layout.segment_bytes[static_cast<size_t>(s)] = plan.SegmentBytes(s);
     }
   }
-  std::vector<int> survivors;
-  for (int s = 0; s < S; ++s) {
-    if (layout.alive[static_cast<size_t>(s)]) survivors.push_back(s);
-  }
 
-  // Deal dead-owned chunks round-robin over the ascending survivors, in
-  // ascending chunk order, appending each past the adopter's current
-  // segment end. Every rank computes this identically.
-  size_t next_survivor = 0;
+  // Adopted chunks are appended past the adopter's current segment end,
+  // in ascending chunk order. Every rank computes this identically.
   for (size_t ci = 0; ci < chunks.size(); ++ci) {
     const ChunkPlan& cp = chunks[ci];
-    if (layout.alive[static_cast<size_t>(cp.server)]) {
-      layout.owner[ci] = cp.server;
+    const int owner = owners.OwnerOf(static_cast<int>(ci));
+    layout.owner[ci] = owner;
+    if (owner == cp.server) {
       layout.chunk_offset[ci] = cp.file_offset;
       continue;
     }
-    const int adopter = survivors[next_survivor % survivors.size()];
-    ++next_survivor;
-    layout.owner[ci] = adopter;
-    layout.chunk_offset[ci] = layout.segment_bytes[static_cast<size_t>(adopter)];
-    layout.segment_bytes[static_cast<size_t>(adopter)] += cp.bytes;
-    layout.adopted[static_cast<size_t>(adopter)].push_back(static_cast<int>(ci));
+    layout.chunk_offset[ci] = layout.segment_bytes[static_cast<size_t>(owner)];
+    layout.segment_bytes[static_cast<size_t>(owner)] += cp.bytes;
+    layout.adopted[static_cast<size_t>(owner)].push_back(static_cast<int>(ci));
   }
   return layout;
 }

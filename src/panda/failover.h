@@ -2,10 +2,10 @@
 //
 // When an i/o node crash-stops mid-collective, the survivors must agree
 // on a new chunk -> server assignment and finish the collective without
-// touching the dead rank. Every participant derives the same
-// DegradedLayout from the shared IoPlan plus the (agreed) dead-server
-// set, exactly like the plan itself: no negotiation, no wire format for
-// assignments.
+// touching the dead rank. Every server derives the same DegradedLayout
+// from its IoPlan plus the (agreed) dead-server set, and every client
+// the same owners from ChunkOwners, exactly like the plan itself: no
+// negotiation, no wire format for assignments.
 //
 // The layout preserves completed work. Survivor-owned chunks keep their
 // original owner and file offset — data already on a survivor's disk
@@ -33,6 +33,29 @@
 
 namespace panda {
 
+// The adoption rule of DegradedLayout without a plan. Chunk ids are
+// dense and chunk i's identity owner is i % num_servers, so how many
+// dead-owned chunks precede chunk i — and with that the survivor it is
+// dealt to — follows from i, num_servers and the dead set alone.
+// Clients check piece owners with this (they hold only their own
+// pieces, not a plan); DegradedLayout::Compute deals chunks with it.
+class ChunkOwners {
+ public:
+  // `dead_servers` are server indices. Dies if the master server (index
+  // 0) is among them: it coordinates the re-plan.
+  ChunkOwners(int num_servers, const std::vector<int>& dead_servers);
+
+  // The server that owns chunk `chunk_index` under this dead set.
+  int OwnerOf(int chunk_index) const;
+
+  const std::vector<bool>& alive() const { return alive_; }
+
+ private:
+  std::vector<bool> alive_;
+  std::vector<int> survivors_;   // ascending
+  std::vector<int> dead_below_;  // per server: dead servers of lower index
+};
+
 // The chunk -> server assignment and file framing after removing a set
 // of dead servers from an IoPlan. With an empty dead set this is the
 // identity layout: owners, offsets and segment sizes equal the plan's.
@@ -58,8 +81,9 @@ struct DegradedLayout {
 
   // Derives the layout for `plan` with `dead_servers` (server *indices*,
   // not ranks) removed. Deterministic: every rank that agrees on the
-  // dead set computes byte-identical layouts. Dies if all servers are
-  // dead or the master server (index 0) is.
+  // dead set computes byte-identical layouts, and owner[i] is
+  // ChunkOwners(...).OwnerOf(i). Dies if the master server (index 0) is
+  // dead.
   static DegradedLayout Compute(const IoPlan& plan,
                                 const std::vector<int>& dead_servers);
 };

@@ -17,11 +17,12 @@ namespace {
 // intersect the cells whose per-dimension interval overlaps it — a
 // binary search per mesh dim instead of a scan over every client,
 // which is what keeps plan construction linear in the chunk count
-// rather than quadratic (at 4096 ranks every client builds this plan;
-// see bench/bench_scale_ranks.cc).
+// rather than quadratic (at 4096 ranks every server builds a whole plan
+// and every client its view; see bench/bench_scale_ranks.cc).
 class CellGrid {
  public:
-  explicit CellGrid(const Schema& memory) : mesh_(&memory.mesh()) {
+  explicit CellGrid(const Schema& memory)
+      : mesh_(&memory.mesh()), shape_(memory.array_shape()) {
     int m = 0;
     for (int d = 0; d < memory.rank(); ++d) {
       if (!memory.dists()[d].distributed()) continue;
@@ -42,8 +43,9 @@ class CellGrid {
     }
   }
 
-  // Calls fn(client) for every mesh position whose cell can intersect
-  // `box`, in ascending linear position (= ascending client) order.
+  // Calls fn(client, cell) for every mesh position whose cell can
+  // intersect `box`, in ascending linear position (= ascending client)
+  // order. `cell` is the client's memory cell (Schema::CellRegion).
   template <typename Fn>
   void ForEachCandidate(const Region& box, Fn&& fn) const {
     const int mrank = static_cast<int>(grid_.size());
@@ -71,7 +73,16 @@ class CellGrid {
       coords[m] = ranges[static_cast<size_t>(m)].first;
     }
     for (;;) {
-      fn(mesh_->PositionOf(coords));
+      Region cell = Region::Whole(shape_);
+      Index lo = cell.lo();
+      Shape extent = cell.extent();
+      for (int m = 0; m < mrank; ++m) {
+        const MeshDim& md = grid_[static_cast<size_t>(m)];
+        const Interval& iv = md.cells[static_cast<size_t>(coords[m])];
+        lo[md.array_dim] = iv.lo;
+        extent[md.array_dim] = iv.extent;
+      }
+      fn(mesh_->PositionOf(coords), Region(lo, extent));
       int m = mrank - 1;
       for (; m >= 0; --m) {
         if (++coords[m] < ranges[static_cast<size_t>(m)].second) break;
@@ -87,8 +98,44 @@ class CellGrid {
     std::vector<Interval> cells;  // interval per mesh coordinate
   };
   const Mesh* mesh_;
+  Shape shape_;
   std::vector<MeshDim> grid_;
 };
+
+// Calls fn(piece) for each piece of sub-chunk `sub`, ascending client:
+// the sub-chunk's intersection with every client's memory cell, clipped
+// to the active subarray region. The one definition of a sub-chunk's
+// pieces — IoPlan stores them all, ClientView keeps one client's, and
+// both number them by this enumeration.
+template <typename Fn>
+void ForEachPiece(const CellGrid& grid, const Region& sub,
+                  const Region& active, std::int64_t elem, Fn&& fn) {
+  grid.ForEachCandidate(sub, [&](int c, const Region& cell) {
+    if (cell.empty()) return;
+    const Region piece_region = Intersect(Intersect(sub, cell), active);
+    if (piece_region.empty()) return;
+    PiecePlan piece;
+    piece.client = c;
+    piece.region = piece_region;
+    piece.bytes = piece_region.Volume() * elem;
+    piece.contiguous_in_client = IsContiguousWithin(cell, piece_region);
+    piece.contiguous_in_subchunk = IsContiguousWithin(sub, piece_region);
+    fn(piece);
+  });
+}
+
+void CheckPlanInputs(const ArrayMeta& meta, int num_servers,
+                     std::int64_t subchunk_bytes, const Region& active) {
+  PANDA_REQUIRE(num_servers >= 1, "need at least one server");
+  PANDA_REQUIRE(subchunk_bytes >= 1, "sub-chunk size must be positive");
+  // Pieces are cut from one memory cell per client (CellGrid).
+  PANDA_REQUIRE(!meta.memory.has_cyclic(),
+                "CYCLIC memory schemas are not supported (disk only)");
+  PANDA_REQUIRE(
+      Region::Whole(meta.memory.array_shape()).Contains(active),
+      "subarray region %s is not inside the array %s",
+      active.ToString().c_str(), meta.memory.array_shape().ToString().c_str());
+}
 
 }  // namespace
 
@@ -100,30 +147,17 @@ IoPlan::IoPlan(const ArrayMeta& meta, int num_servers,
 IoPlan::IoPlan(const ArrayMeta& meta, int num_servers,
                std::int64_t subchunk_bytes, const Region& active)
     : num_servers_(num_servers) {
-  PANDA_REQUIRE(num_servers >= 1, "need at least one server");
-  PANDA_REQUIRE(subchunk_bytes >= 1, "sub-chunk size must be positive");
-  PANDA_REQUIRE(
-      Region::Whole(meta.memory.array_shape()).Contains(active),
-      "subarray region %s is not inside the array %s",
-      active.ToString().c_str(), meta.memory.array_shape().ToString().c_str());
-
+  CheckPlanInputs(meta, num_servers, subchunk_bytes, active);
   const Schema& disk = meta.disk;
-  const Schema& memory = meta.memory;
   const std::int64_t elem = meta.elem_size;
-
-  // Clients' memory cells (BLOCK/* memory schemas: one region per client).
-  const int num_clients = memory.mesh().size();
-  std::vector<Region> client_cells(static_cast<size_t>(num_clients));
-  for (int c = 0; c < num_clients; ++c) {
-    client_cells[static_cast<size_t>(c)] = memory.CellRegion(c);
-  }
-  const CellGrid cell_grid(memory);
+  const CellGrid cell_grid(meta.memory);
+  const int num_clients = meta.memory.mesh().size();
 
   chunks_of_server_.resize(static_cast<size_t>(num_servers));
   steps_of_client_.resize(static_cast<size_t>(num_clients));
   segment_bytes_.assign(static_cast<size_t>(num_servers), 0);
 
-  chunks_.reserve(disk.chunks().size());
+  chunks_.reserve(static_cast<size_t>(disk.num_chunks()));
   for (const SchemaChunk& sc : disk.chunks()) {
     ChunkPlan cp;
     cp.chunk_id = sc.id;
@@ -143,23 +177,8 @@ IoPlan::IoPlan(const ArrayMeta& meta, int num_servers,
       sp.bytes = sub.Volume() * elem;
       sp.file_offset = sub_offset;
       sub_offset += sp.bytes;
-
-      // Pieces: intersection with each client's cell (clipped to the
-      // active subarray region), ascending client. The grid prunes the
-      // scan to the clients whose cell can overlap this sub-chunk.
-      cell_grid.ForEachCandidate(sub, [&](int c) {
-        const Region& cell = client_cells[static_cast<size_t>(c)];
-        if (cell.empty()) return;
-        const Region piece_region = Intersect(Intersect(sub, cell), active);
-        if (piece_region.empty()) return;
-        PiecePlan piece;
-        piece.client = c;
-        piece.region = piece_region;
-        piece.bytes = piece_region.Volume() * elem;
-        piece.contiguous_in_client = IsContiguousWithin(cell, piece_region);
-        piece.contiguous_in_subchunk = IsContiguousWithin(sub, piece_region);
-        sp.pieces.push_back(piece);
-      });
+      ForEachPiece(cell_grid, sub, active, elem,
+                   [&](const PiecePlan& piece) { sp.pieces.push_back(piece); });
       sp.active = !sp.pieces.empty();
       cp.subchunks.push_back(std::move(sp));
     }
@@ -217,6 +236,38 @@ const PiecePlan& IoPlan::piece(const ClientStep& step) const {
   PANDA_CHECK(step.piece_index >= 0 &&
               step.piece_index < static_cast<int>(sp.pieces.size()));
   return sp.pieces[static_cast<size_t>(step.piece_index)];
+}
+
+ClientView::ClientView(const ArrayMeta& meta, int num_servers,
+                       std::int64_t subchunk_bytes, const Region& active,
+                       int client) {
+  CheckPlanInputs(meta, num_servers, subchunk_bytes, active);
+  PANDA_CHECK(client >= 0 && client < meta.memory.mesh().size());
+  const Region mine = Intersect(meta.memory.CellRegion(client), active);
+  if (mine.empty()) return;
+  const std::int64_t elem = meta.elem_size;
+  const CellGrid cell_grid(meta.memory);
+  // Only the disk chunks that meet this client's cell can hold its
+  // pieces; a piece's index is its rank among all of the sub-chunk's
+  // pieces, so those are enumerated exactly as IoPlan does.
+  for (const SchemaChunk& sc : meta.disk.ChunksIntersecting(mine)) {
+    const std::vector<Region> subs =
+        SplitIntoSubchunks(sc.region, elem, subchunk_bytes);
+    for (size_t si = 0; si < subs.size(); ++si) {
+      if (Intersect(subs[si], mine).empty()) continue;
+      int piece_index = 0;
+      ForEachPiece(cell_grid, subs[si], active, elem,
+                   [&](const PiecePlan& piece) {
+                     if (piece.client == client) {
+                       pieces_.push_back({{sc.id, static_cast<int>(si),
+                                           piece_index},
+                                          sc.id % num_servers,
+                                          piece});
+                     }
+                     ++piece_index;
+                   });
+    }
+  }
 }
 
 std::int64_t IoPlan::TotalPieces() const {

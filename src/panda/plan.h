@@ -1,12 +1,19 @@
 // Server-directed i/o planning.
 //
 // The heart of the paper: given an array's memory schema, disk schema and
-// the number of i/o servers, every participant independently derives the
-// *same* plan — which disk chunks exist, which server owns each (implicit
-// round-robin assignment, the paper's chunk-level striping), how chunks
-// split into <=1 MB sub-chunks, and which client holds each "piece"
-// (sub-chunk ∩ client memory cell). Servers then direct the data flow in
-// plan order, which turns every file access into a sequential one.
+// the number of i/o servers, a deterministic plan says which disk chunks
+// exist, which server owns each (implicit round-robin assignment, the
+// paper's chunk-level striping), how chunks split into <=1 MB
+// sub-chunks, and which client holds each "piece" (sub-chunk ∩ client
+// memory cell). Servers then direct the data flow in plan order, which
+// turns every file access into a sequential one.
+//
+// Each rank plans locally. Every server derives the whole IoPlan (its
+// degraded layout, journal stride and repair walk all chunks); each
+// client derives only its ClientView — its own pieces, found through
+// its memory cell without enumerating the mesh. Both enumerate a
+// sub-chunk's pieces through one helper, so they index pieces
+// identically by construction.
 //
 // Determinism and deadlock freedom: servers process their chunks in
 // ascending global chunk id, and each client services its pieces in
@@ -57,15 +64,22 @@ struct ChunkPlan {
 
 // A client's next obligation, in global service order.
 struct ClientStep {
-  int chunk_index = 0;  // index into IoPlan::chunks
+  int chunk_index = 0;  // index into IoPlan::chunks (== the chunk's id)
   int sub_index = 0;
   int piece_index = 0;
 };
 
+// One of a client's pieces, with what the client needs to serve it.
+struct ClientPiece {
+  ClientStep step;
+  int server = 0;  // the chunk's owner: chunk id % num_servers
+  PiecePlan piece;
+};
+
 class IoPlan {
  public:
-  // Builds the plan shared by all participants. `subchunk_bytes` is the
-  // transfer/buffer unit (1 MB in the paper).
+  // Builds the whole plan, as every server holds it. `subchunk_bytes`
+  // is the transfer/buffer unit (1 MB in the paper).
   IoPlan(const ArrayMeta& meta, int num_servers, std::int64_t subchunk_bytes);
 
   // Subarray plan: pieces are additionally clipped to `active` (a
@@ -103,6 +117,22 @@ class IoPlan {
   std::vector<std::vector<int>> chunks_of_server_;
   std::vector<std::vector<ClientStep>> steps_of_client_;
   std::vector<std::int64_t> segment_bytes_;
+};
+
+// Client `client`'s share of the IoPlan with the same inputs: its
+// pieces in global service order. pieces()[i] is StepsOfClient(client)[i]
+// with that step's piece() and chunk().server. Built from the disk
+// chunks that meet the client's memory cell, so its cost is linear in
+// the client's share, not in the mesh.
+class ClientView {
+ public:
+  ClientView(const ArrayMeta& meta, int num_servers,
+             std::int64_t subchunk_bytes, const Region& active, int client);
+
+  const std::vector<ClientPiece>& pieces() const { return pieces_; }
+
+ private:
+  std::vector<ClientPiece> pieces_;
 };
 
 }  // namespace panda

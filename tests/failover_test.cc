@@ -5,10 +5,12 @@
 // table CRCs and journals under the recorded dead-server set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "test_harness.h"
+#include "util/random.h"
 
 namespace panda {
 namespace {
@@ -108,6 +110,44 @@ TEST(DegradedLayoutTest, WorkListSplitsIntoOwnThenAdopted) {
 TEST(DegradedLayoutTest, MasterServerDeathIsFatal) {
   const IoPlan plan(SmallMeta(), 3, 256);
   EXPECT_THROW((void)DegradedLayout::Compute(plan, {0}), PandaError);
+}
+
+TEST(DegradedLayoutTest, PlanFreeOwnersMatchTheLayout) {
+  // Clients check piece owners without a plan. Their rule must deal
+  // dead-owned chunks exactly as the layout does: round-robin over the
+  // ascending survivors, in ascending chunk order.
+  Rng rng(0x0A1E);
+  for (int iter = 0; iter < 200; ++iter) {
+    const int num_servers = 1 + static_cast<int>(rng.NextBelow(6));
+    std::vector<int> dead;
+    for (int s = 1; s < num_servers; ++s) {
+      if (rng.NextBelow(3) == 0) dead.push_back(s);
+    }
+    ArrayMeta meta = SmallMeta();
+    const std::int64_t rows = 1 + static_cast<std::int64_t>(rng.NextBelow(9));
+    meta.disk = Schema({32, 32}, Mesh(Shape{rows, 2}), {BLOCK, CYCLIC(3)});
+    const IoPlan plan(meta, num_servers, 256);
+    const DegradedLayout layout = DegradedLayout::Compute(plan, dead);
+    const ChunkOwners owners(num_servers, dead);
+
+    std::vector<int> survivors;
+    for (int s = 0; s < num_servers; ++s) {
+      if (std::find(dead.begin(), dead.end(), s) == dead.end()) {
+        survivors.push_back(s);
+      }
+    }
+    size_t dealt = 0;
+    for (size_t ci = 0; ci < plan.chunks().size(); ++ci) {
+      const int identity = plan.chunks()[ci].server;
+      const bool lost =
+          std::find(dead.begin(), dead.end(), identity) != dead.end();
+      const int want = lost ? survivors[dealt++ % survivors.size()] : identity;
+      ASSERT_EQ(owners.OwnerOf(static_cast<int>(ci)), want)
+          << "chunk " << ci << " of " << num_servers << " servers";
+      ASSERT_EQ(layout.owner[ci], want);
+    }
+  }
+  EXPECT_THROW(ChunkOwners(3, {2, 0}), PandaError);
 }
 
 TEST(DegradedLayoutTest, DeadServersAttrRoundTrips) {

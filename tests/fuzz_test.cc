@@ -51,6 +51,25 @@ TEST(FuzzTest, EveryTruncationOfARequestThrows) {
   EXPECT_EQ(back.group, "grp");
 }
 
+TEST(FuzzTest, CyclicMemorySchemaRejectedAtDecode) {
+  // Well-formed bytes, but planning needs one memory cell per client,
+  // which CYCLIC cannot give: the decoder must refuse the request (and
+  // group metadata) instead of leaving planning to abort the process.
+  CollectiveRequest req;
+  req.op = IoOp::kWrite;
+  req.num_clients = 2;
+  ArrayMeta meta = SampleMeta();
+  meta.memory = Schema({64, 32, 16}, Mesh(Shape{2}),
+                       {DimDist::Cyclic(4), DimDist::None(), DimDist::None()});
+  req.arrays.push_back(meta);
+  EXPECT_THROW((void)CollectiveRequest::FromMessage(req.ToMessage()),
+               PandaError);
+  GroupMeta group;
+  group.group = "sim";
+  group.arrays.push_back(meta);
+  EXPECT_THROW((void)GroupMeta::Decode(group.Encode()), PandaError);
+}
+
 TEST(FuzzTest, RandomByteFlipsNeverCrashRequestDecode) {
   const auto valid = ValidRequestBytes();
   Rng rng(0xF12E);

@@ -9,6 +9,7 @@
 #include "mdarray/region.h"
 #include "mdarray/schema.h"
 #include "mdarray/strided_copy.h"
+#include "sp2/machine.h"
 #include "util/units.h"
 
 namespace panda {
@@ -351,6 +352,65 @@ TEST(SchemaTest, EncodeDecodeRoundTrip) {
   const Schema back = Schema::Decode(dec);
   EXPECT_EQ(back, schema);
   EXPECT_TRUE(dec.AtEnd());
+}
+
+TEST(SchemaTest, ChunkBoundHoldsWithoutEnumerating) {
+  // The bound is counted in closed form: a schema at exactly the limit
+  // constructs (its table is never built here), one chunk more throws.
+  const Schema at_limit(Shape{Schema::kMaxChunks}, Mesh(Shape{4}),
+                        {DimDist::Cyclic(1)});
+  EXPECT_EQ(at_limit.num_chunks(), Schema::kMaxChunks);
+  EXPECT_THROW(Schema(Shape{Schema::kMaxChunks + 1}, Mesh(Shape{4}),
+                      {DimDist::Cyclic(1)}),
+               PandaError);
+  // Per-dimension block counts multiply: 2^11 x 2^11 + 1 row too many.
+  EXPECT_THROW(Schema(Shape{2049, 2048}, Mesh(Shape{2, 2}),
+                      {DimDist::Cyclic(1), DimDist::Cyclic(1)}),
+               PandaError);
+}
+
+TEST(SchemaTest, HostileWireChunkCountThrowsAtDecode) {
+  // A 1-D array of extent 2^40 under CYCLIC(1): every field is in range
+  // for Decode, but the schema would have 2^40 chunks.
+  std::vector<std::byte> buf;
+  Encoder enc(buf);
+  enc.Put<std::int32_t>(1);                       // array rank
+  enc.Put<std::int64_t>(std::int64_t{1} << 40);   // extent
+  enc.Put<std::int32_t>(1);                       // mesh rank
+  enc.Put<std::int64_t>(2);                       // mesh extent
+  enc.Put<std::int32_t>(1);                       // distributions
+  enc.Put<std::uint8_t>(static_cast<std::uint8_t>(Dist::kCyclic));
+  enc.Put<std::int64_t>(1);                       // CYCLIC block
+  Decoder dec(buf);
+  EXPECT_THROW((void)Schema::Decode(dec), PandaError);
+}
+
+TEST(SchemaTest, CopiesShareOneChunkTable) {
+  const Schema original(Shape{64, 48}, Mesh(Shape{4, 3}),
+                        {DimDist::Cyclic(2), DimDist::Block()});
+  const Schema copy = original;
+  Schema assigned;
+  assigned = copy;
+  // Built once, by whichever copy asks first, even when concurrent
+  // ranks ask at once.
+  Machine machine = Machine::Simulated(4, 1, Sp2Params::Functional(),
+                                       /*store_data=*/false,
+                                       /*timing_only=*/true);
+  std::vector<const std::vector<SchemaChunk>*> seen(4, nullptr);
+  machine.Run(
+      [&](Endpoint&, int c) {
+        const Schema local = c % 2 == 0 ? copy : assigned;
+        seen[static_cast<size_t>(c)] = &local.chunks();
+      },
+      [](Endpoint&, int) {});
+  for (const auto* table : seen) EXPECT_EQ(table, &original.chunks());
+  EXPECT_EQ(original.chunks().size(),
+            static_cast<size_t>(original.num_chunks()));
+  // Only copies share: an equal schema built separately has its own.
+  const Schema separate(Shape{64, 48}, Mesh(Shape{4, 3}),
+                        {DimDist::Cyclic(2), DimDist::Block()});
+  EXPECT_EQ(separate, original);
+  EXPECT_NE(&separate.chunks(), &original.chunks());
 }
 
 TEST(SubchunkTest, SmallChunkIsSingleSubchunk) {

@@ -79,6 +79,20 @@ TEST(PlanCacheTest, EvictedPlansRemainValid) {
   EXPECT_EQ(pa->TotalPieces(), 4);
 }
 
+TEST(PlanCacheTest, MemoizesClientViewsBesidePlans) {
+  PlanCache cache;
+  const ArrayMeta meta = MetaOf("a");
+  const auto v0 = cache.GetClientView(meta, 2, 1024, nullptr, 0);
+  EXPECT_EQ(cache.GetClientView(meta, 2, 1024, nullptr, 0).get(), v0.get());
+  EXPECT_NE(cache.GetClientView(meta, 2, 1024, nullptr, 1).get(), v0.get());
+  const Region slice({0, 0}, {4, 16});
+  EXPECT_NE(cache.GetClientView(meta, 2, 1024, &slice, 0).get(), v0.get());
+  (void)cache.Get(meta, 2, 1024);  // the whole plan is a separate entry
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 4);
+}
+
 TEST(PlanCacheTest, CachedPlanMatchesFreshPlan) {
   PlanCache cache;
   const ArrayMeta meta = MetaOf("a", {24, 18});

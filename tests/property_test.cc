@@ -6,6 +6,7 @@
 
 #include <map>
 #include <numeric>
+#include <tuple>
 
 #include "mdarray/schema.h"
 #include "mdarray/strided_copy.h"
@@ -38,18 +39,96 @@ Region RandomSubregion(Rng& rng, const Region& box) {
   return Region(lo, extent);
 }
 
-// A random BLOCK/*-only schema over `shape`.
-Schema RandomBlockSchema(Rng& rng, const Shape& shape) {
+// A random schema over `shape` whose distributed dims are BLOCK or,
+// when `cyclic` allows, CYCLIC(1..4). With `cyclic` false it is BLOCK/*
+// only and draws nothing extra from `rng`.
+Schema RandomSchema(Rng& rng, const Shape& shape, bool cyclic = false) {
   const int r = shape.rank();
   std::vector<DimDist> dists(static_cast<size_t>(r), DimDist::None());
   Index mesh_dims;
   for (int d = 0; d < r; ++d) {
     if (rng.NextBelow(2) == 0 || (d == r - 1 && mesh_dims.rank() == 0)) {
-      dists[static_cast<size_t>(d)] = DimDist::Block();
+      dists[static_cast<size_t>(d)] =
+          cyclic && rng.NextBelow(2) == 0
+              ? DimDist::Cyclic(1 + static_cast<std::int64_t>(rng.NextBelow(4)))
+              : DimDist::Block();
       mesh_dims.Append(1 + static_cast<std::int64_t>(rng.NextBelow(4)));
     }
   }
   return Schema(shape, Mesh(mesh_dims), dists);
+}
+
+// The chunk table by definition: per mesh position ascending, the cross
+// product (row-major) of the per-dimension owned intervals.
+std::vector<SchemaChunk> ReferenceChunks(const Schema& schema) {
+  std::vector<SchemaChunk> out;
+  const int r = schema.rank();
+  for (int pos = 0; pos < schema.mesh().size(); ++pos) {
+    const Index coords = schema.mesh().Coords(pos);
+    std::vector<std::vector<Interval>> choices(static_cast<size_t>(r));
+    Shape counts = Index::Zeros(r);
+    int m = 0;
+    for (int d = 0; d < r; ++d) {
+      const DimDist& dd = schema.dists()[static_cast<size_t>(d)];
+      const std::int64_t part = dd.distributed() ? coords[m] : 0;
+      const std::int64_t parts =
+          dd.distributed() ? schema.mesh().dims()[m++] : 1;
+      choices[static_cast<size_t>(d)] =
+          OwnedIntervals(dd, schema.array_shape()[d], part, parts);
+      counts[d] = static_cast<std::int64_t>(choices[static_cast<size_t>(d)].size());
+    }
+    if (counts.Volume() == 0) continue;
+    Index pick = Index::Zeros(r);
+    do {
+      Index lo = Index::Zeros(r);
+      Shape extent = Index::Zeros(r);
+      for (int d = 0; d < r; ++d) {
+        const Interval& iv =
+            choices[static_cast<size_t>(d)][static_cast<size_t>(pick[d])];
+        lo[d] = iv.lo;
+        extent[d] = iv.extent;
+      }
+      out.push_back({static_cast<int>(out.size()), pos, Region(lo, extent)});
+    } while (NextIndexRowMajor(counts, pick));
+  }
+  return out;
+}
+
+bool SameChunk(const SchemaChunk& a, const SchemaChunk& b) {
+  return a.id == b.id && a.owner_pos == b.owner_pos && a.region == b.region;
+}
+
+TEST(PropertyTest, ChunkTableMatchesItsDefinition) {
+  // chunks() and ChunksIntersecting() compute chunk ids arithmetically;
+  // both must agree with the cross-product definition, and the
+  // closed-form count with the table.
+  Rng rng(4242);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int rank = 1 + static_cast<int>(rng.NextBelow(3));
+    const Shape shape = RandomShape(rng, rank, 12);
+    const Schema schema = RandomSchema(rng, shape, /*cyclic=*/true);
+    const std::vector<SchemaChunk> want = ReferenceChunks(schema);
+    ASSERT_EQ(schema.chunks().size(), want.size()) << schema.ToString();
+    EXPECT_EQ(schema.num_chunks(), static_cast<int>(want.size()));
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(SameChunk(schema.chunks()[i], want[i]))
+          << schema.ToString() << " chunk " << i;
+    }
+    for (int q = 0; q < 4; ++q) {
+      const Region box = RandomSubregion(rng, Region::Whole(shape));
+      std::vector<SchemaChunk> meeting;
+      for (const SchemaChunk& c : want) {
+        if (!Intersect(c.region, box).empty()) meeting.push_back(c);
+      }
+      const std::vector<SchemaChunk> got = schema.ChunksIntersecting(box);
+      ASSERT_EQ(got.size(), meeting.size())
+          << schema.ToString() << " box " << box.ToString();
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(SameChunk(got[i], meeting[i]))
+            << schema.ToString() << " box " << box.ToString();
+      }
+    }
+  }
 }
 
 TEST(PropertyTest, IntersectionIsContainedAndCommutative) {
@@ -85,7 +164,7 @@ TEST(PropertyTest, SchemaCellsPartitionTheArray) {
   for (int iter = 0; iter < 200; ++iter) {
     const int rank = 1 + static_cast<int>(rng.NextBelow(3));
     const Shape shape = RandomShape(rng, rank, 14);
-    const Schema schema = RandomBlockSchema(rng, shape);
+    const Schema schema = RandomSchema(rng, shape);
 
     std::int64_t covered = 0;
     for (const auto& chunk : schema.chunks()) covered += chunk.region.Volume();
@@ -221,8 +300,8 @@ TEST(PropertyTest, PlanCoversEveryElementExactlyOnce) {
   for (int iter = 0; iter < 120; ++iter) {
     const int rank = 1 + static_cast<int>(rng.NextBelow(3));
     const Shape shape = RandomShape(rng, rank, 10);
-    const Schema memory = RandomBlockSchema(rng, shape);
-    const Schema disk = RandomBlockSchema(rng, shape);
+    const Schema memory = RandomSchema(rng, shape);
+    const Schema disk = RandomSchema(rng, shape);
     ArrayMeta meta;
     meta.name = "prop";
     meta.elem_size = 1 + static_cast<std::int64_t>(rng.NextBelow(8));
@@ -265,6 +344,61 @@ TEST(PropertyTest, PlanCoversEveryElementExactlyOnce) {
   }
 }
 
+TEST(PropertyTest, ClientViewsAreTheirShareOfThePlan) {
+  // Each client plans only its own pieces. Its view must list exactly
+  // its StepsOfClient, with the same pieces and owning servers, across
+  // BLOCK/* and CYCLIC disk schemas, empty trailing cells and subarray
+  // reads.
+  Rng rng(5150);
+  int cyclic_cases = 0, empty_cells = 0, subarray_cases = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int rank = 1 + static_cast<int>(rng.NextBelow(3));
+    const Shape shape = RandomShape(rng, rank, 9);
+    ArrayMeta meta;
+    meta.name = "view";
+    meta.elem_size = 1 + static_cast<std::int64_t>(rng.NextBelow(8));
+    meta.memory = RandomSchema(rng, shape);
+    meta.disk = RandomSchema(rng, shape, /*cyclic=*/true);
+    const int num_servers = 1 + static_cast<int>(rng.NextBelow(4));
+    const std::int64_t subchunk_bytes =
+        8 + static_cast<std::int64_t>(rng.NextBelow(256));
+    const bool subarray = rng.NextBelow(2) == 0;
+    const Region active = subarray ? RandomSubregion(rng, Region::Whole(shape))
+                                   : Region::Whole(shape);
+    const IoPlan plan(meta, num_servers, subchunk_bytes, active);
+    cyclic_cases += meta.disk.has_cyclic() ? 1 : 0;
+    subarray_cases += subarray ? 1 : 0;
+
+    for (int c = 0; c < meta.memory.mesh().size(); ++c) {
+      if (meta.memory.CellRegion(c).empty()) ++empty_cells;
+      const ClientView view(meta, num_servers, subchunk_bytes, active, c);
+      const std::vector<ClientStep>& steps = plan.StepsOfClient(c);
+      ASSERT_EQ(view.pieces().size(), steps.size())
+          << meta.memory.ToString() << " -> " << meta.disk.ToString()
+          << " client " << c;
+      for (size_t i = 0; i < steps.size(); ++i) {
+        const ClientPiece& got = view.pieces()[i];
+        const auto key = [](const ClientStep& s) {
+          return std::tuple(s.chunk_index, s.sub_index, s.piece_index);
+        };
+        ASSERT_EQ(key(got.step), key(steps[i])) << "client " << c;
+        EXPECT_EQ(got.server, plan.chunk(steps[i]).server);
+        const PiecePlan& want = plan.piece(steps[i]);
+        EXPECT_EQ(got.piece.client, want.client);
+        EXPECT_EQ(got.piece.region, want.region);
+        EXPECT_EQ(got.piece.bytes, want.bytes);
+        EXPECT_EQ(got.piece.contiguous_in_client, want.contiguous_in_client);
+        EXPECT_EQ(got.piece.contiguous_in_subchunk,
+                  want.contiguous_in_subchunk);
+      }
+    }
+  }
+  // The sweep really covers every family it claims to.
+  EXPECT_GT(cyclic_cases, 20);
+  EXPECT_GT(empty_cells, 20);
+  EXPECT_GT(subarray_cases, 20);
+}
+
 TEST(PropertyTest, ClientStepsConsistentWithServerOrder) {
   // For every client, the induced per-server subsequence of its steps
   // matches the order in which that server visits (chunk, sub, piece) —
@@ -275,8 +409,8 @@ TEST(PropertyTest, ClientStepsConsistentWithServerOrder) {
     ArrayMeta meta;
     meta.name = "o";
     meta.elem_size = 4;
-    meta.memory = RandomBlockSchema(rng, shape);
-    meta.disk = RandomBlockSchema(rng, shape);
+    meta.memory = RandomSchema(rng, shape);
+    meta.disk = RandomSchema(rng, shape);
     const int num_servers = 1 + static_cast<int>(rng.NextBelow(3));
     const IoPlan plan(meta, num_servers, 64);
 

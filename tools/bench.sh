@@ -12,15 +12,16 @@
 # elapsed on the object store, and posix sharded stays within 5% of
 # the flat layout. Finally the rank-scheduler scale bar: the fig4
 # workload at 1024 total ranks under --sched=fiber must complete
-# (docs/SCHEDULER.md) and report its row at ranks=1024.
+# (docs/SCHEDULER.md) and report its row at ranks=1024, and at 4096
+# ranks its printed peak RSS must stay within 2 GB.
 #
 #   tools/bench.sh [BUILD_DIR] [OUT_DIR]
 #
 # BUILD_DIR defaults to ./build (must already contain the bench
 # binaries); OUT_DIR defaults to BUILD_DIR/bench-out. Writes
 # BENCH_fig4_smoke.json, TRACE_fig4_smoke.json, the ablation pair
-# BENCH_fig4_codec_{none,shuffle_rle}.json, BENCH_shard_backend.json
-# and BENCH_scale_ranks.json.
+# BENCH_fig4_codec_{none,shuffle_rle}.json, BENCH_shard_backend.json,
+# BENCH_scale_ranks.json and scale_ranks_4096.txt.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -183,6 +184,20 @@ if [ -z "$scale_v" ]; then
   echo "bench.sh: SCALE — missing elapsed_s in $SCALE_JSON" >&2
   fail=1
 fi
+# Every rank holds only its share of the geometry (clients their
+# ClientView, copies of a Schema one shared chunk table), so 4096 ranks
+# must fit in 2 GB. rss_mb is the sixth column of the printed row.
+SCALE4K_OUT="$OUT_DIR/scale_ranks_4096.txt"
+"$SCALE_BIN" --ranks=4096 --sched=fiber > "$SCALE4K_OUT"
+rss_4k="$(awk '$1 == 4096 { print $6 }' "$SCALE4K_OUT")"
+if [ -z "$rss_4k" ]; then
+  echo "bench.sh: SCALE — missing the 4096-rank row in $SCALE4K_OUT" >&2
+  fail=1
+elif ! awk -v rss="$rss_4k" 'BEGIN{exit !(rss <= 2048)}'; then
+  echo "bench.sh: SCALE — 4096 ranks peaked at $rss_4k MB (> 2048 MB)" >&2
+  fail=1
+fi
 
 [ "$fail" -eq 0 ] || exit 1
-echo "bench.sh OK: $JSON $TRACE $NONE_JSON $CODED_JSON $SHARD_JSON $SCALE_JSON"
+echo "bench.sh OK: $JSON $TRACE $NONE_JSON $CODED_JSON $SHARD_JSON $SCALE_JSON" \
+     "$SCALE4K_OUT"
