@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the data-movement kernels that
-// Panda's gather/scatter is built from: strided pack/unpack and the
-// sub-chunk planner. These run on the host for real (not in virtual
-// time) — they are the 2026 counterparts of the pack costs the SP2
-// model charges at memcpy_Bps.
+// Panda's gather/scatter is built from: strided pack/unpack, the
+// sub-chunk planner and the end-to-end CRC32C. These run on the host for
+// real (not in virtual time) — they are the 2026 counterparts of the
+// pack costs the SP2 model charges at memcpy_Bps.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +10,8 @@
 #include "mdarray/schema.h"
 #include "mdarray/strided_copy.h"
 #include "panda/plan.h"
+#include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 #include "util/units.h"
 
 namespace panda {
@@ -94,6 +96,30 @@ void BM_SplitSubchunks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitSubchunks)->Arg(64)->Arg(512);
+
+// CRC32C over one buffer: the portable table walk, and `Crc32c` as
+// dispatched (the SSE4.2 kernel where CPUID reports it). Every piece is
+// checksummed by its sender and its receiver; pieces are 256 KiB in the
+// Figure 9 workload.
+void BM_Crc32c(benchmark::State& state, crc32c_internal::Kernel crc) {
+  std::vector<std::byte> buf(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = std::byte(i * 131 + 7);
+  std::uint32_t crc_value = 0;
+  for (auto _ : state) {
+    crc_value = crc(buf.data(), buf.size(), crc_value);
+    benchmark::DoNotOptimize(crc_value);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, portable, &crc32c_internal::Portable)
+    ->Arg(1 << 10)
+    ->Arg(256 << 10)
+    ->Arg(16 << 20);
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c)
+    ->Arg(1 << 10)
+    ->Arg(256 << 10)
+    ->Arg(16 << 20);
 
 }  // namespace
 }  // namespace panda

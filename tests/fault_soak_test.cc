@@ -7,14 +7,22 @@
 // previous checkpoint must stay restorable.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <exception>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "iosim/faulty_fs.h"
 #include "iosim/retry.h"
+#include "msg/message.h"
+#include "panda/plan.h"
+#include "panda/protocol.h"
 #include "test_harness.h"
 #include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 
 namespace panda {
 namespace {
@@ -26,11 +34,104 @@ using test::VerifyPattern;
 // ---------------------------------------------------------------------
 // CRC32C
 
+// The kernels `Crc32c` chooses between, each run directly, plus the
+// dispatched entry point itself. The portable kernel runs everywhere.
+std::vector<std::pair<const char*, crc32c_internal::Kernel>> Crc32cKernels() {
+  std::vector<std::pair<const char*, crc32c_internal::Kernel>> kernels = {
+      {"portable", &crc32c_internal::Portable}, {"dispatched", &Crc32c}};
+  if (crc32c_internal::Kernel hw = crc32c_internal::Sse42()) {
+    kernels.emplace_back("sse4.2", hw);
+  }
+  return kernels;
+}
+
 TEST(Crc32cTest, KnownAnswerVector) {
-  // The canonical CRC32C check vector (RFC 3720 appendix B.4).
+  // The canonical check value and the 32-byte vectors of RFC 3720
+  // appendix B.4, through every kernel.
   const char* digits = "123456789";
-  EXPECT_EQ(Crc32c(digits, 9), 0xE3069283u);
-  EXPECT_EQ(Crc32c(digits, 0), 0x00000000u);
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  std::array<unsigned char, 32> ascending{};
+  std::array<unsigned char, 32> descending{};
+  for (unsigned i = 0; i < 32; ++i) {
+    ones[i] = 0xff;
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  for (const auto& [name, crc] : Crc32cKernels()) {
+    EXPECT_EQ(crc(digits, 9, 0), 0xE3069283u) << name;
+    EXPECT_EQ(crc(digits, 0, 0), 0x00000000u) << name;
+    EXPECT_EQ(crc(zeros.data(), 32, 0), 0x8A9136AAu) << name;
+    EXPECT_EQ(crc(ones.data(), 32, 0), 0x62A8AB43u) << name;
+    EXPECT_EQ(crc(ascending.data(), 32, 0), 0x46DD794Eu) << name;
+    EXPECT_EQ(crc(descending.data(), 32, 0), 0x113FDB5Cu) << name;
+  }
+}
+
+TEST(Crc32cTest, HardwareKernelMatchesPortableReference) {
+  const crc32c_internal::Kernel hw = crc32c_internal::Sse42();
+  if (hw == nullptr) GTEST_SKIP() << "no SSE4.2 kernel on this CPU";
+  const auto portable = &crc32c_internal::Portable;
+  constexpr std::size_t kMaxLen = 64 * 1024;
+  constexpr std::size_t kMaxAlign = 63;
+  std::mt19937_64 rng(20261022);
+  std::vector<unsigned char> buf(kMaxLen + kMaxAlign);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  auto seed = [&] { return static_cast<std::uint32_t>(rng()); };
+
+  // Every length within 16 bytes of the kernel's block edges: three
+  // 256-byte and three 8 KiB blocks, alone, doubled and combined. The
+  // start alignment moves the edges by up to 7 bytes.
+  for (const std::size_t edge :
+       {std::size_t{768}, std::size_t{1536}, std::size_t{24576},
+        std::size_t{24576 + 768}, std::size_t{49152}}) {
+    for (std::size_t len = edge - 16; len <= edge + 16; ++len) {
+      for (std::size_t align = 0; align < 8; ++align) {
+        const std::uint32_t s = seed();
+        ASSERT_EQ(hw(buf.data() + align, len, s),
+                  portable(buf.data() + align, len, s))
+            << "len " << len << " align " << align << " seed " << s;
+      }
+    }
+  }
+
+  // Random (length, alignment, seed) triples. Lengths are log-uniform
+  // up to 64 KiB so short and long inputs both get many draws. Every
+  // fourth triple is checksummed by the hardware kernel in two chained
+  // calls split at a random point.
+  for (int i = 0; i < 100000; ++i) {
+    const std::size_t bits = rng() % 17;
+    const std::size_t len = rng() % ((std::size_t{1} << bits) + 1);
+    const std::size_t align = rng() % (kMaxAlign + 1);
+    const std::uint32_t s = seed();
+    const unsigned char* p = buf.data() + align;
+    std::uint32_t got = 0;
+    if (i % 4 == 0) {
+      const std::size_t split = rng() % (len + 1);
+      got = hw(p + split, len - split, hw(p, split, s));
+    } else {
+      got = hw(p, len, s);
+    }
+    ASSERT_EQ(got, portable(p, len, s))
+        << "len " << len << " align " << align << " seed " << s
+        << (i % 4 == 0 ? " (chained)" : "");
+  }
+}
+
+TEST(Crc32cTest, DispatcherPicksHardwareKernelWhenCpuReportsSse42) {
+  // Value tests alone would pass on a silent fallback to the table
+  // walk. The compiler's own CPU probe is the independent witness.
+#if defined(__x86_64__)
+  const bool cpu_has_sse42 = __builtin_cpu_supports("sse4.2") != 0;
+#else
+  const bool cpu_has_sse42 = false;
+#endif
+  EXPECT_EQ(crc32c_internal::Sse42() != nullptr, cpu_has_sse42);
+  if (cpu_has_sse42) {
+    EXPECT_EQ(crc32c_internal::Selected(), crc32c_internal::Sse42());
+  } else {
+    EXPECT_EQ(crc32c_internal::Selected(), &crc32c_internal::Portable);
+  }
 }
 
 TEST(Crc32cTest, SeedChainsDiscontiguousBuffers) {
@@ -648,6 +749,161 @@ TEST(FaultSoakTest, WireCorruptionCaughtByEndToEndChecksum) {
                PandaError);
   EXPECT_EQ(stats.wire_checksum_failures.load(), 1);
   EXPECT_EQ(stats.io_retries.load(), 0);
+}
+
+// Piece data for `step` with a correct header and a wrong end-to-end CRC.
+// Mailboxes match per (source, tag) in arrival order, so a forged piece
+// sent before the collective is the first piece data its receiver takes
+// from that sender, and the one whose checksum it checks first.
+Message ForgedPiece(const IoPlan& plan, const ClientStep& step) {
+  const PiecePlan& piece = plan.piece(step);
+  Message msg;
+  Encoder enc(msg.header);
+  PieceHeader{0, step.chunk_index, step.sub_index, step.piece_index,
+              piece.region}
+      .EncodeTo(enc);
+  std::vector<std::byte> payload(static_cast<size_t>(piece.bytes),
+                                 std::byte{0x5a});
+  enc.Put<std::uint32_t>(~Crc32c({payload.data(), payload.size()}));
+  msg.SetPayload(std::move(payload));
+  return msg;
+}
+
+// Runs one round on `machine` and returns, per rank, the reason of the
+// PandaAbortError it threw ("completed" when it threw none). The error
+// still leaves each rank's main, so the transport's abort backstop runs:
+// an abort that reaches the master server before it has taken the
+// request is not relayed to the other servers.
+std::vector<std::string> AbortReasons(
+    Machine& machine, const std::function<void(Endpoint&, int)>& client_main,
+    const std::function<void(Endpoint&, int)>& server_main) {
+  std::vector<std::string> reasons(
+      static_cast<size_t>(machine.num_clients() + machine.num_servers()));
+  auto record = [&](Endpoint& ep, int idx,
+                    const std::function<void(Endpoint&, int)>& main) {
+    std::string& reason = reasons[static_cast<size_t>(ep.rank())];
+    try {
+      main(ep, idx);
+      reason = "completed";
+    } catch (const PandaAbortError& e) {
+      reason = e.reason();
+      throw;
+    }
+  };
+  EXPECT_THROW(
+      machine.Run([&](Endpoint& ep, int idx) { record(ep, idx, client_main); },
+                  [&](Endpoint& ep, int sidx) {
+                    record(ep, sidx, server_main);
+                  }),
+      PandaAbortError);
+  return reasons;
+}
+
+class WireChecksumTest : public ::testing::Test {
+ protected:
+  WireChecksumTest()
+      : params_(FunctionalParams()),
+        machine_(Machine::Simulated(4, 2, params_, true, false)),
+        plan_(MakeArray().meta(), world_.num_servers,
+              params_.subchunk_bytes),
+        first_(plan_.StepsOfClient(0).front()),
+        owner_(plan_.chunk(first_).server) {
+    options_.robustness = &machine_.robustness();
+  }
+
+  static Sp2Params FunctionalParams() {
+    Sp2Params params = Sp2Params::Functional();
+    params.subchunk_bytes = 256;
+    return params;
+  }
+
+  Array MakeArray() const {
+    return Array("x", {32, 32}, 8, memory_, {BLOCK, BLOCK}, memory_,
+                 {BLOCK, BLOCK});
+  }
+
+  void ExpectChecksumAbortOnEveryRank(const std::vector<std::string>& reasons) {
+    for (size_t r = 0; r < reasons.size(); ++r) {
+      EXPECT_NE(reasons[r].find("end-to-end checksum"), std::string::npos)
+          << "rank " << r << ": " << reasons[r];
+    }
+    EXPECT_EQ(machine_.robustness().Snapshot().wire_checksum_failures, 1);
+  }
+
+  const World world_{4, 2};
+  const ArrayLayout memory_{"m", {2, 2}};
+  const Sp2Params params_;
+  Machine machine_;
+  ServerOptions options_;
+  // Client 0's first piece and the server that owns it.
+  const IoPlan plan_;
+  const ClientStep first_;
+  const int owner_;
+};
+
+TEST_F(WireChecksumTest, ForgedWritePieceAbortsInServerPull) {
+  // Client 0 sends its first piece's data before the collective starts;
+  // the owning server's PullSubchunk checks it against the wire CRC.
+  const auto reasons = AbortReasons(
+      machine_,
+      [&](Endpoint& ep, int idx) {
+        if (idx == 0) {
+          // The client's main impersonates its own PandaClient here.
+          // panda-lint: allow(proto-tag)
+          ep.Send(world_.server_rank(owner_), kTagPieceData,
+                  ForgedPiece(plan_, first_));
+        }
+        PandaClient client(ep, world_, params_);
+        client.set_robustness(&machine_.robustness());
+        Array a = MakeArray();
+        a.BindClient(idx);
+        FillPattern(a, 1);
+        client.WriteArray(a);
+        if (idx == 0) client.Shutdown();
+      },
+      [&](Endpoint& ep, int sidx) {
+        ServerMain(ep, machine_.server_fs(sidx), world_, params_, options_);
+      });
+  ExpectChecksumAbortOnEveryRank(reasons);
+}
+
+TEST_F(WireChecksumTest, ForgedReadPieceAbortsInClientServe) {
+  // A clean write first, then the owning server sends client 0 its first
+  // piece's data before the read starts; ServeReadPiece checks it.
+  machine_.Run(
+      [&](Endpoint& ep, int idx) {
+        PandaClient client(ep, world_, params_);
+        Array a = MakeArray();
+        a.BindClient(idx);
+        FillPattern(a, 1);
+        client.WriteArray(a);
+        if (idx == 0) client.Shutdown();
+      },
+      [&](Endpoint& ep, int sidx) {
+        ServerMain(ep, machine_.server_fs(sidx), world_, params_, options_);
+      });
+  ASSERT_EQ(machine_.robustness().Snapshot().wire_checksum_failures, 0);
+
+  const auto reasons = AbortReasons(
+      machine_,
+      [&](Endpoint& ep, int idx) {
+        PandaClient client(ep, world_, params_);
+        client.set_robustness(&machine_.robustness());
+        Array a = MakeArray();
+        a.BindClient(idx);
+        client.ReadArray(a);
+        if (idx == 0) client.Shutdown();
+      },
+      [&](Endpoint& ep, int sidx) {
+        if (sidx == owner_) {
+          // The server's main impersonates its own ServerMain here.
+          // panda-lint: allow(proto-tag)
+          ep.Send(world_.client_rank(0), kTagPieceData,
+                  ForgedPiece(plan_, first_));
+        }
+        ServerMain(ep, machine_.server_fs(sidx), world_, params_, options_);
+      });
+  ExpectChecksumAbortOnEveryRank(reasons);
 }
 
 }  // namespace

@@ -143,12 +143,17 @@ echo "== perfbench smoke (perfbench/README.md)"
 # durable-codec (traced) restarts byte-exactly through the codec, the
 # shard tables' checksums and the journal, and checks determinism and
 # traced-vs-untraced identity; natural-aix (untraced) cross-checks the
-# paper's Figure 3/4 numbers. run.py exits non-zero on any failed
-# collective, mismatching read or determinism violation.
+# paper's Figure 3/4 numbers; reorg-fastdisk (untraced) is the only
+# workload whose sender and receiver both checksum reorganized pieces,
+# so its byte-exact reads run through the CRC32C kernel the host's CPU
+# selects. run.py exits non-zero on any failed collective, mismatching
+# read or determinism violation.
 python3 perfbench/run.py --workload durable-codec --seed 1 --seconds 2 \
     --trace 1 > build-ci/artifacts/PERF_durable_codec.json
 python3 perfbench/run.py --workload natural-aix --seed 1 --seconds 2 \
     --trace 0 > build-ci/artifacts/PERF_natural_aix.json
+python3 perfbench/run.py --workload reorg-fastdisk --seed 1 --seconds 2 \
+    --trace 0 > build-ci/artifacts/PERF_reorg_fastdisk.json
 echo "perfbench smoke OK"
 
 if [ -z "$SKIP_SAN" ]; then
